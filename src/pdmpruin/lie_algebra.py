@@ -43,22 +43,23 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _Span:
     """Orthonormal basis of flattened matrices under the Frobenius inner product.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; the residual
-    threshold is absolute because all inputs are pre-normalized.
+    The basis rows live in a preallocated ``(dim, dim)`` array; the first
+    ``count`` rows are in use.  Classical Gram-Schmidt with one
+    re-orthogonalization pass; the residual threshold is absolute because
+    all inputs are pre-normalized.
     """
 
     def __init__(self, dim: int, tol: float):
-        self.vectors: list[np.ndarray] = []
-        self.dim = dim
+        self.rows = np.empty((dim, dim))
+        self.count = 0
         self.tol = tol
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.count
 
     def _project_out(self, v: np.ndarray) -> np.ndarray:
-        for b in self.vectors:
-            v = v - (v @ b) * b
-        return v
+        Q = self.rows[: self.count]
+        return v - (Q @ v) @ Q
 
     def residual(self, M: np.ndarray) -> tuple[np.ndarray, float]:
         v = M.reshape(-1).astype(float)
@@ -67,6 +68,8 @@ class _Span:
 
     def try_add(self, M: np.ndarray) -> bool:
         """Add the component of M orthogonal to the span; False if dependent."""
+        if self.count == len(self.rows):
+            return False  # the span is the whole space
         v = M.reshape(-1).astype(float)
         nv = np.linalg.norm(v)
         if nv == 0.0:
@@ -76,12 +79,13 @@ class _Span:
         if nr <= self.tol:
             return False
         r = self._project_out(r / nr)
-        r /= np.linalg.norm(r)
-        self.vectors.append(r)
+        self.rows[self.count] = r / np.linalg.norm(r)
+        self.count += 1
         return True
 
-    def matrices(self, n: int) -> list[np.ndarray]:
-        return [v.reshape(n, n) for v in self.vectors]
+    def matrices(self, n: int) -> np.ndarray:
+        """The basis as an ``(count, n, n)`` stack (a view; rows are never rewritten)."""
+        return self.rows[: self.count].reshape(-1, n, n)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ from .passage_model import (
     ConstantDrift,
     DriftSpec,
     ModelSpec,
+    NumericalError,
     PassageProblem,
     SegerdahlDrift,
     TabulatedDrift,
+    require_finite,
 )
 from .phase_type import sample as ph_sample
 
@@ -62,6 +64,12 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        require_finite(
+            "simulation",
+            x0=self.x0,
+            max_time=self.max_time,
+            flow_tolerance=self.flow_tolerance,
+        )
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.max_time is not None and self.max_time <= 0:
@@ -271,13 +279,13 @@ def _flow_segment_numeric(
         events=events,
     )
     if not sol.success:
-        raise RuntimeError(f"flow solver failed mid-path: {sol.message}")
+        raise NumericalError(f"flow solver failed mid-path: {sol.message}")
     if sol.t_events[0].size:
         return float(sol.t_events[0][0]), lower, "below"
     if math.isfinite(upper) and sol.t_events[1].size:
         return float(sol.t_events[1][0]), upper, "above"
     if sol.t_events[-2].size or sol.t_events[-1].size:
-        raise RuntimeError("flow left the drift table before reaching a boundary")
+        raise NumericalError("flow left the drift table before reaching a boundary")
     return T, float(sol.y[0, -1]), None
 
 

@@ -46,6 +46,13 @@ class NumericalError(RuntimeError):
     """A solver failed to meet its accuracy or convergence contract."""
 
 
+def require_finite(where: str, **fields) -> None:
+    """Reject NaN and infinite values in the named numeric fields (None is skipped)."""
+    for name, value in fields.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
+            raise ValueError(f"{where} {name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # Drift specifications
 # ---------------------------------------------------------------------------
@@ -57,6 +64,9 @@ class ConstantDrift:
     c: float
 
     kind = "constant"
+
+    def __post_init__(self):
+        require_finite("constant drift", c=self.c)
 
     @property
     def sign_domain(self) -> tuple[float, float] | None:
@@ -91,6 +101,7 @@ class SegerdahlDrift:
     kind = "segerdahl"
 
     def __post_init__(self):
+        require_finite("relaxing drift", K=self.K, lam=self.lam, q=self.q, mu=self.mu)
         if self.K == 0.0:
             raise ValueError("K must be nonzero (K=0 degenerates to constant drift)")
         if self.mu <= 0 or self.lam <= 0 or self.q < 0:
@@ -149,6 +160,7 @@ class TabulatedDrift:
         vs = tuple(float(v) for v in self.values)
         if len(xs) != len(vs) or len(xs) < 2:
             raise ValueError("need matching x/value tables with at least 2 nodes")
+        require_finite("drift table", x=xs, values=vs)
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("drift table x must be strictly increasing")
         if self.interpolation not in ("cubic", "linear"):
@@ -284,6 +296,7 @@ class ModelSpec:
     jump_direction: str = "downward"
 
     def __post_init__(self):
+        require_finite("model", jump_rate=self.jump_rate, kill_rate=self.kill_rate)
         if self.jump_rate <= 0:
             raise ValueError("jump_rate must be positive")
         if self.kill_rate < 0:
@@ -342,6 +355,9 @@ class PassageProblem:
     overshoot_xi: float = 0.0
 
     def __post_init__(self):
+        require_finite(
+            "problem", lower=self.lower, upper=self.upper, overshoot_xi=self.overshoot_xi
+        )
         if self.estimand not in ("ruin_below", "exit_above"):
             raise ValueError("estimand must be 'ruin_below' or 'exit_above'")
         if self.upper is not None and not self.lower < self.upper:
@@ -433,11 +449,15 @@ class SolutionCurve:
 # System assembly
 # ---------------------------------------------------------------------------
 
-def assemble_system(model: ModelSpec) -> Callable[[float], np.ndarray]:
+def assemble_system(model: ModelSpec) -> Callable[[float | np.ndarray], np.ndarray]:
     """Matrix-valued map x -> A(x) of the first-passage linear system.
 
     Built literally as (lam/phi(x)) T1 + T2 from the generator pair, so the
-    decomposition used by the Lie-closure gate holds by construction.
+    decomposition used by the Lie-closure gate holds by construction.  A
+    scalar ``x`` gives the ``(dim, dim)`` matrix; a 1-D array of ``m`` nodes
+    gives the ``(dim, dim, m)`` stack with ``A(xs)[:, :, j] == A(xs[j])``
+    (the layout of a collocation Jacobian), checked against the drift's
+    sign domain at every node.
     """
     from .lie_algebra import build_generators
 
@@ -445,9 +465,11 @@ def assemble_system(model: ModelSpec) -> Callable[[float], np.ndarray]:
     lam = model.jump_rate
     drift = model.drift
 
-    def A(x: float) -> np.ndarray:
+    def A(x):
         ph = phi_checked(drift, x)
-        return (lam / ph) * T1 + T2
+        if np.ndim(x) == 0:
+            return (lam / ph) * T1 + T2
+        return (lam / ph) * T1[:, :, None] + T2[:, :, None]
 
     return A
 
@@ -812,17 +834,22 @@ def solve_bvp(
         w_non = _nonstable_left_basis(A(x_max))
 
         def rhs(xv, Y):
-            out = np.empty_like(Y)
-            for j in range(xv.size):
-                out[:, j] = A(float(xv[j])) @ Y[:, j]
-            return out
+            return np.einsum("ijm,jm->im", A(xv), Y)
 
         def bc(Ya, Yb):
             return np.concatenate([Ya[1:] - 1.0, w_non @ Yb])
 
         mesh = np.linspace(l, x_max, 401)
         guess = np.tile(np.exp(rate2 * (mesh - l)), (dim, 1))
-        sol = _collocation(rhs, bc, mesh, guess, tol=max(rt, 1e-10), max_nodes=200000)
+        sol = _collocation(
+            rhs,
+            bc,
+            mesh,
+            guess,
+            fun_jac=lambda xv, Y: A(xv),
+            tol=max(rt, 1e-10),
+            max_nodes=200000,
+        )
         if not sol.success:
             raise NumericalError(f"collocation failed: {sol.message}")
 
@@ -896,7 +923,4 @@ def ode_residual(model: ModelSpec, x, psi, m, dpsi=None, dm=None):
         x_eval = x
         Y_eval = Y
 
-    res = np.empty_like(dY)
-    for i, xv in enumerate(x_eval):
-        res[i] = dY[i] - A(float(xv)) @ Y_eval[i]
-    return x_eval, res
+    return x_eval, dY - np.einsum("ijm,mj->mi", A(x_eval), Y_eval)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc_sim import SimConfig
-from .passage_model import ModelSpec, PassageProblem
+from .passage_model import ModelSpec, PassageProblem, require_finite
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -47,6 +47,7 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
+        require_finite("grid", start=self.start, stop=self.stop)
         if not self.start < self.stop:
             raise ValueError("grid start must be below stop")
         if self.points < 2:
@@ -77,16 +78,19 @@ class RunConfig:
         missing = [k for k in ("x0", "n_paths", "seed") if sim.get(k) is None]
         if missing:
             raise ConfigError(f"missing simulation fields: {missing}", "$.sim")
-        return SimConfig(
-            model=self.model,
-            problem=self.problem,
-            x0=float(sim["x0"]),
-            n_paths=int(sim["n_paths"]),
-            seed=int(sim["seed"]),
-            max_time=None if sim.get("max_time") is None else float(sim["max_time"]),
-            flow_tolerance=float(sim.get("flow_tolerance", 1e-10)),
-            kill_mode=sim.get("kill_mode", "weight"),
-        )
+        try:
+            return SimConfig(
+                model=self.model,
+                problem=self.problem,
+                x0=float(sim["x0"]),
+                n_paths=int(sim["n_paths"]),
+                seed=int(sim["seed"]),
+                max_time=None if sim.get("max_time") is None else float(sim["max_time"]),
+                flow_tolerance=float(sim.get("flow_tolerance", 1e-10)),
+                kill_mode=sim.get("kill_mode", "weight"),
+            )
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc), "$.sim") from exc
 
 
 _TOP_LEVEL = {"schema_version", "model", "problem", "grid", "sim", "output"}

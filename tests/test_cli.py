@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -55,6 +56,55 @@ def write_config(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return str(p)
+
+
+def run_cli(args, timeout=120):
+    return subprocess.run(
+        [sys.executable, "-m", "pdmpruin.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def with_value(base, path, value):
+    """Deep copy of a config with the field at ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(base))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
+NAN, INF = math.nan, math.inf
+
+# (base config, field path, non-finite value, subcommand); the kill rate has
+# its own out-of-process test below.
+NON_FINITE_CASES = {
+    "jump_rate": (FIG1_CONFIG, ("model", "jump_rate"), INF, "solve"),
+    "relaxing-K": (FIG1_CONFIG, ("model", "drift", "K"), NAN, "solve"),
+    "relaxing-mu": (FIG1_CONFIG, ("model", "drift", "mu"), INF, "simulate"),
+    "constant-c": (CONST_CONFIG, ("model", "drift", "c"), INF, "solve"),
+    "table-x": (
+        CONST_CONFIG, ("model", "drift"),
+        {"kind": "tabulated", "x": [0.0, NAN, 2.0], "values": [1.0, 1.0, 1.0]}, "solve",
+    ),
+    "table-values": (
+        CONST_CONFIG, ("model", "drift"),
+        {"kind": "tabulated", "x": [0.0, 1.0, 2.0], "values": [1.0, NAN, 1.0]}, "solve",
+    ),
+    "jumps-B": (FIG1_CONFIG, ("model", "jumps", "B"), [[NAN]], "solve"),
+    "jumps-beta": (FIG1_CONFIG, ("model", "jumps", "beta"), [NAN], "simulate"),
+    "problem-lower": (FIG1_CONFIG, ("problem", "lower"), NAN, "solve"),
+    "problem-upper": (FIG1_CONFIG, ("problem", "upper"), INF, "solve"),
+    "problem-overshoot_xi": (FIG1_CONFIG, ("problem", "overshoot_xi"), NAN, "simulate"),
+    "grid-start": (FIG1_CONFIG, ("grid", "start"), NAN, "solve"),
+    "grid-stop": (FIG1_CONFIG, ("grid", "stop"), INF, "solve"),
+    "sim-x0": (FIG1_CONFIG, ("sim", "x0"), NAN, "simulate"),
+    "sim-max_time": (CONST_CONFIG, ("sim", "max_time"), INF, "simulate"),
+    "sim-flow_tolerance": (FIG1_CONFIG, ("sim", "flow_tolerance"), NAN, "simulate"),
+}
 
 
 class TestConfigParsing:
@@ -165,6 +215,37 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--quiet"]) == EXIT_NUMERICAL
         assert "impossible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, case):
+        base, path, value, subcommand = NON_FINITE_CASES[case]
+        config = write_config(tmp_path, with_value(base, path, value))
+        out = str(tmp_path / "out")
+        assert main([subcommand, "--config", config, "--quiet", "--output", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: $.{path[0]}: ")
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "simulate"])
+    def test_nan_kill_rate_exits_without_hanging(self, tmp_path, subcommand):
+        # A NaN kill rate used to make solve loop forever and simulate
+        # print "estimate nan +- nan" with exit 0.
+        config = write_config(tmp_path, with_value(FIG1_CONFIG, ("model", "kill_rate"), NAN))
+        proc = run_cli([subcommand, "--config", config, "--quiet"], timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: $.model: model kill_rate must be finite")
+
+    def test_positive_drift_leaving_the_table_is_numerical_error(self, tmp_path):
+        cfg = with_value(
+            CONST_CONFIG,
+            ("model", "drift"),
+            {"kind": "tabulated", "x": list(np.linspace(0.0, 5.0, 11)), "values": [1.0] * 11},
+        )
+        cfg["sim"] = {"x0": 1.0, "n_paths": 50, "seed": 1}
+        proc = run_cli(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "numerical failure: flow left the drift table" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_single_method_compare_fails(self, tmp_path, capsys):
         # upward jumps: no closed form and no ratio oracle, one method only

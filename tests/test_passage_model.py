@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pdmpruin.lie_algebra import build_generators
 from pdmpruin.passage_model import (
@@ -36,6 +36,16 @@ def fig1_model():
 
 def const_model(c=1.0, lam=1.0, q=0.0, mu=2.0):
     return ModelSpec(ConstantDrift(c), lam, q, exponential(mu))
+
+
+def tabulated_fig1_model():
+    xs = np.linspace(-1.0, 8.0, 400)
+    drift = TabulatedDrift(tuple(xs), tuple(SegerdahlDrift(**FIG1).phi(xs)), "cubic", (0.0, 8.0))
+    return ModelSpec(drift, FIG1["lam"], FIG1["q"], exponential(FIG1["mu"]))
+
+
+def relaxing_k_half_model():
+    return ModelSpec(SegerdahlDrift(0.5, 0.5, 0.5, 1.5), 0.5, 0.5, exponential(1.5))
 
 
 class TestDrifts:
@@ -157,19 +167,36 @@ class TestAssembleSystem:
         assert_allclose(A[1:, 0], pt.b)
         assert_allclose(A[1:, 1:], pt.B)
 
-    def test_generator_decomposition_identity(self):
-        m = fig1_model()
+    @pytest.mark.parametrize(
+        "make_model",
+        [fig1_model, const_model, tabulated_fig1_model],
+        ids=["relaxing", "constant", "tabulated"],
+    )
+    def test_generator_decomposition_identity(self, make_model):
+        # The node-array form stacks exactly the scalar matrices.
+        m = make_model()
         A = assemble_system(m)
         G1, G2 = build_generators(m)
-        for x in np.linspace(0.0, 5.0, 11):
+        xs = np.linspace(0.0, 5.0, 11)
+        stack = A(xs)
+        assert stack.shape == G1.shape + xs.shape
+        for j, x in enumerate(xs):
             direct = (m.jump_rate / m.drift.phi(x)) * G1 + G2
             assert np.linalg.norm(A(x) - direct) < 1e-14
+            assert_array_equal(stack[:, :, j], A(x))
 
-    def test_outside_domain(self):
-        m = ModelSpec(SegerdahlDrift(0.5, 0.5, 0.5, 1.5), 0.5, 0.5, exponential(1.5))
-        A = assemble_system(m)
-        with pytest.raises(ValueError):
-            A(-5.0)
+    @pytest.mark.parametrize(
+        "x",
+        [-5.0, np.array([0.0, 1.0, -5.0]), np.array([-5.0, 0.5])],
+        ids=["scalar", "last-node", "first-node"],
+    )
+    @pytest.mark.parametrize(
+        "make_model", [relaxing_k_half_model, tabulated_fig1_model], ids=["relaxing", "tabulated"]
+    )
+    def test_outside_domain(self, make_model, x):
+        A = assemble_system(make_model())
+        with pytest.raises(ValueError, match="sign-constant domain"):
+            A(x)
 
 
 class TestConstantDriftSolution:
