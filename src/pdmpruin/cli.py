@@ -265,7 +265,7 @@ def cmd_simulate(args) -> int:
         f"killed {est.n_killed}; target {est.target})",
     )
     if est.n_censored:
-        _say(args, f"censoring bias bound: {est.censored_fraction:.3g}")
+        _say(args, f"censoring bias bound: {est.censoring_bias_bound:.3g}")
     if args.output:
         if args.output.endswith(".csv"):
             cols = [
@@ -358,22 +358,19 @@ def cmd_compare(args) -> int:
     violations = count_mc_violations(ref_vals, mc_means, mc_errs)
 
     header = ["x"] + [f"psi_{n}" for n in names] + ["mc_mean", "mc_3sigma"]
-    _say(args, ",".join(header))
+    lines = [",".join(header)]
     for j, i in enumerate(idx):
         row = [format_float(grid[i])]
         row += [format_float(curves[n].psi[i]) for n in names]
         row += [format_float(mc_means[j]), format_float(3.0 * mc_errs[j])]
-        _say(args, ",".join(row))
+        lines.append(",".join(row))
+    for line in lines:
+        _say(args, line)
 
     if args.output:
         path = args.output if args.output.endswith(".csv") else args.output + ".csv"
         with open(path, "w", newline="\n") as f:
-            f.write(",".join(header) + "\n")
-            for j, i in enumerate(idx):
-                row = [format_float(grid[i])]
-                row += [format_float(curves[n].psi[i]) for n in names]
-                row += [format_float(mc_means[j]), format_float(3.0 * mc_errs[j])]
-                f.write(",".join(row) + "\n")
+            f.write("".join(line + "\n" for line in lines))
         _say(args, f"wrote {path}")
     _emit_config(args, rc)
 

@@ -2,7 +2,9 @@
 
 Simulates the piecewise deterministic process directly: deterministic
 drift flow between Poisson jump epochs, phase-type jump sizes, exact
-passage-time detection at the boundaries.  Killing is handled by
+passage-time detection at the boundaries.  Flows and crossing times come
+from the drift itself (``flow``/``travel_time`` on each drift type: closed
+forms, or the inverse clock of a tabulated drift).  Killing is handled by
 weighting completed paths with exp(-q tau) (an explicit exponential
 horizon is available as an auxiliary mode for cross-validation), and the
 overshoot penalty weight exp(xi (X_tau - l)) is supported for ruin
@@ -10,28 +12,22 @@ estimands.
 
 Paths are partitioned into fixed-size blocks, each driven by a
 counter-derived child seed, and block results are merged with the
-pairwise mean/variance combination, so results are deterministic for a
-given (seed, n_paths) regardless of worker count.
+pairwise mean/variance combination in block order, so results are
+deterministic for a given (seed, n_paths).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .passage_model import (
-    ConstantDrift,
     DriftSpec,
     ModelSpec,
-    NumericalError,
     PassageProblem,
-    SegerdahlDrift,
-    TabulatedDrift,
     require_finite,
 )
 from .phase_type import sample as ph_sample
@@ -61,7 +57,6 @@ class SimConfig:
     flow_tolerance: float = 1e-10
     kill_mode: str = "weight"
     block_size: int = 8192
-    n_jobs: int = 1
 
     def __post_init__(self):
         require_finite(
@@ -109,9 +104,13 @@ class PathOutcome:
 class PassageEstimate:
     """Monte Carlo estimate with its standard error and path accounting.
 
-    Censored paths contribute 0 to the estimand, so the estimate is
-    negatively biased by at most ``censored_fraction``.  ``n_killed`` is
-    only populated in the explicit-horizon kill mode.
+    Censored paths contribute 0 to the estimand where each could have
+    added at most ``censored_weight_bound``: e^{-q T} at horizon T when
+    killing is a weight, 1 under an explicit kill horizon.  The estimate
+    is therefore negatively biased by at most ``censoring_bias_bound`` =
+    ``censored_fraction * censored_weight_bound``.  ``n_killed`` is only
+    populated in the explicit-horizon kill mode.  ``overshoots`` holds the
+    jump-ruin overshoot samples when :func:`estimate` was asked for them.
     """
 
     mean: float
@@ -123,10 +122,16 @@ class PassageEstimate:
     n_killed: int
     target: str
     all_censored: bool = False
+    censored_weight_bound: float = 1.0
+    overshoots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def censored_fraction(self) -> float:
         return self.n_censored / self.n_paths
+
+    @property
+    def censoring_bias_bound(self) -> float:
+        return self.censored_fraction * self.censored_weight_bound
 
     def to_dict(self) -> dict:
         return {
@@ -149,144 +154,41 @@ class PassageEstimate:
 def flow(drift: DriftSpec, x0: float, dt: float, tol: float = 1e-10) -> float:
     """Position after following dx/dt = phi(x) for time dt.
 
-    Exact for constant drift and for the exponentially relaxing family
-    (whose flow is linear in y = e^{2 mu x}); adaptive Runge-Kutta with
-    dense output for tabulated drifts.
+    The 0-d case of the drift's own flow: exact for constant drift and for
+    the exponentially relaxing family (whose flow is linear in
+    y = e^{2 mu x}); the inverse of the drift's clock, to ``tol``, for
+    tabulated drifts.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if isinstance(drift, ConstantDrift):
-        return x0 + drift.c * dt
-    if isinstance(drift, SegerdahlDrift):
-        y0 = math.exp(2.0 * drift.mu * x0)
-        y = drift.K + (y0 - drift.K) * math.exp(-2.0 * (drift.lam + drift.q) * dt)
-        if y <= 0.0:
-            raise ValueError("flow left the representable range (x -> -inf)")
-        return math.log(y) / (2.0 * drift.mu)
-    lo, hi = drift.table_range
-
-    def ev_lo(_t, x):
-        return x[0] - lo
-
-    def ev_hi(_t, x):
-        return x[0] - hi
-
-    ev_lo.terminal = ev_hi.terminal = True
-    ev_lo.direction, ev_hi.direction = -1, 1
-    sol = solve_ivp(
-        lambda _t, x: [drift.phi_clipped(x[0])],
-        (0.0, dt),
-        [x0],
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        events=[ev_lo, ev_hi],
-    )
-    if not sol.success:
-        raise ValueError(f"flow integration failed: {sol.message}")
-    if sol.t_events[0].size or sol.t_events[1].size:
-        raise ValueError("flow left the drift table range")
-    return float(sol.y[0, -1])
+    return float(_vector_flow(drift, x0, dt, tol))
 
 
 def crossing_time(drift: DriftSpec, x0: float, level: float, side: str) -> float:
     """First time the flow from x0 passes ``level`` (``side`` 'below'/'above').
 
     The one-dimensional flow is monotone, so there is at most one crossing;
-    returns +inf when the flow never reaches the level.  Exact for constant
-    and exponentially relaxing drifts.
+    returns +inf when the flow never reaches the level.
     """
     if side not in ("below", "above"):
         raise ValueError("side must be 'below' or 'above'")
-    phi0 = drift.phi(x0)
-    if x0 == level:
-        moving_toward = phi0 < 0 if side == "below" else phi0 > 0
-        return 0.0 if moving_toward else math.inf
-    if side == "below" and x0 < level:
-        return 0.0
-    if side == "above" and x0 > level:
-        return 0.0
-
-    if isinstance(drift, ConstantDrift):
-        c = drift.c
-        if side == "below":
-            return (x0 - level) / (-c) if c < 0 else math.inf
-        return (level - x0) / c if c > 0 else math.inf
-
-    if isinstance(drift, SegerdahlDrift):
-        two_mu = 2.0 * drift.mu
-        y0 = math.exp(two_mu * x0)
-        yl = math.exp(two_mu * level)
-        denom = y0 - drift.K
-        if denom == 0.0:
-            return math.inf  # started at the equilibrium
-        ratio = (yl - drift.K) / denom
-        if not (0.0 < ratio < 1.0):
-            return math.inf
-        return -math.log(ratio) / (2.0 * (drift.lam + drift.q))
-
-    raise ValueError("crossing_time has closed forms for constant/relaxing drifts only")
+    return float(_vector_crossing_times(drift, x0, level, side))
 
 
 def _flow_segment_numeric(
-    drift: TabulatedDrift, x0: float, T: float, lower: float, upper: float, tol: float
+    drift: DriftSpec, x0: float, T: float, lower: float, upper: float, tol: float
 ):
-    """Advance a tabulated-drift path by up to T, stopping at a boundary.
+    """Advance a path by up to T, stopping at a boundary.
 
-    Returns (t_event, x_event, which) with which in {None, 'below', 'above'};
-    event locations are refined by the integrator's root finder (well past
-    the 1e-10 position tolerance required downstream).  Trial steps use a
-    constant extension of the table; guard events abort honestly if the
-    committed trajectory itself leaves the table.
+    Returns (t_event, x_event, which) with which in {None, 'below', 'above'}.
+    A tabulated flow that would leave its sign domain within T raises
+    :class:`NumericalError`.
     """
-    lo, hi = drift.table_range
-
-    def ev_low(_t, x):
-        return x[0] - lower
-
-    ev_low.terminal = True
-    ev_low.direction = -1
-
-    def ev_high(_t, x):
-        return x[0] - (upper if math.isfinite(upper) else math.inf)
-
-    ev_high.terminal = True
-    ev_high.direction = 1
-
-    def ev_table_lo(_t, x):
-        return x[0] - lo
-
-    ev_table_lo.terminal = True
-    ev_table_lo.direction = -1
-
-    def ev_table_hi(_t, x):
-        return x[0] - hi
-
-    ev_table_hi.terminal = True
-    ev_table_hi.direction = 1
-
-    events = [ev_low, ev_table_lo, ev_table_hi]
-    if math.isfinite(upper):
-        events.insert(1, ev_high)
-
-    sol = solve_ivp(
-        lambda _t, x: [drift.phi_clipped(x[0])],
-        (0.0, T),
-        [x0],
-        method="RK45",
-        rtol=tol,
-        atol=max(tol, 1e-12),
-        events=events,
-    )
-    if not sol.success:
-        raise NumericalError(f"flow solver failed mid-path: {sol.message}")
-    if sol.t_events[0].size:
-        return float(sol.t_events[0][0]), lower, "below"
-    if math.isfinite(upper) and sol.t_events[1].size:
-        return float(sol.t_events[1][0]), upper, "above"
-    if sol.t_events[-2].size or sol.t_events[-1].size:
-        raise NumericalError("flow left the drift table before reaching a boundary")
-    return T, float(sol.y[0, -1]), None
+    t_low = crossing_time(drift, x0, lower, "below")
+    t_high = crossing_time(drift, x0, upper, "above") if math.isfinite(upper) else math.inf
+    if min(t_low, t_high) <= T:
+        if t_low <= t_high:
+            return t_low, lower, "below"
+        return t_high, upper, "above"
+    return T, flow(drift, x0, T, tol), None
 
 
 def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> float:
@@ -295,10 +197,7 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
     l = problem.lower
     mean_jump = model.jumps.mean()
     lam = model.jump_rate
-    try:
-        t_cross = crossing_time(drift, x0, l, "below")
-    except ValueError:
-        t_cross = math.inf
+    t_cross = crossing_time(drift, x0, l, "below")
     if math.isfinite(t_cross) and t_cross > 0:
         scale = t_cross
     else:
@@ -316,7 +215,6 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
 def simulate_path(cfg: SimConfig, rng: np.random.Generator) -> PathOutcome:
     """One path of the process; the scalar reference for the batch engine."""
     model, problem = cfg.model, cfg.problem
-    drift = model.drift
     lam = model.jump_rate
     down = model.jump_direction == "downward"
     l, L = problem.lower, problem.upper_value
@@ -325,27 +223,16 @@ def simulate_path(cfg: SimConfig, rng: np.random.Generator) -> PathOutcome:
     x = cfg.x0
     t = 0.0
     n_jumps = 0
-    tabulated = isinstance(drift, TabulatedDrift)
     while True:
         wait = rng.exponential(1.0 / lam)
         budget = min(wait, horizon - t)
-        if tabulated:
-            seg_t, seg_x, which = _flow_segment_numeric(
-                drift, x, budget, l, L, cfg.flow_tolerance
-            )
-            if which == "below":
-                return PathOutcome("ruined", t + seg_t, 0.0, n_jumps)
-            if which == "above":
-                return PathOutcome("escaped", t + seg_t, 0.0, n_jumps)
-            x_next = seg_x
-        else:
-            t_low = crossing_time(drift, x, l, "below")
-            t_high = crossing_time(drift, x, L, "above") if math.isfinite(L) else math.inf
-            t_bdry = min(t_low, t_high)
-            if t_bdry <= budget:
-                kind = "ruined" if t_low <= t_high else "escaped"
-                return PathOutcome(kind, t + t_bdry, 0.0, n_jumps)
-            x_next = flow(drift, x, budget, cfg.flow_tolerance)
+        seg_t, x_next, which = _flow_segment_numeric(
+            model.drift, x, budget, l, L, cfg.flow_tolerance
+        )
+        if which == "below":
+            return PathOutcome("ruined", t + seg_t, 0.0, n_jumps)
+        if which == "above":
+            return PathOutcome("escaped", t + seg_t, 0.0, n_jumps)
         if wait >= horizon - t:
             return PathOutcome("censored", horizon, 0.0, n_jumps)
         x = x_next
@@ -367,57 +254,32 @@ def simulate_path(cfg: SimConfig, rng: np.random.Generator) -> PathOutcome:
 # ---------------------------------------------------------------------------
 
 def _vector_crossing_times(drift: DriftSpec, x, level: float, side: str):
-    """Vector version of :func:`crossing_time` for the batch engine."""
+    """Vector version of :func:`crossing_time` for the batch engine.
+
+    The rules that hold for every drift live here: a point already past the
+    level crosses at 0, a point on it at 0 or never by the drift's sign; the
+    drift's ``travel_time`` answers for the points still ahead of it.
+    """
     x = np.asarray(x, float)
-    out = np.full(x.shape, math.inf)
-    if isinstance(drift, ConstantDrift):
-        c = drift.c
-        if side == "below" and c < 0:
-            out = np.where(x >= level, (x - level) / (-c), 0.0)
-        elif side == "above" and c > 0:
-            out = np.where(x <= level, (level - x) / c, 0.0)
-        # Starting on the level and moving away: the x==level entries above
-        # got 0, which is only right when moving toward the level.
-        if side == "below" and c >= 0:
-            out = np.where(x < level, 0.0, math.inf)
-        if side == "above" and c <= 0:
-            out = np.where(x > level, 0.0, math.inf)
-        return out
-    if isinstance(drift, SegerdahlDrift):
-        two_mu = 2.0 * drift.mu
-        y = np.exp(two_mu * x)
-        yl = math.exp(two_mu * level)
-        denom = y - drift.K
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (yl - drift.K) / denom
-            tc = -np.log(ratio) / (2.0 * (drift.lam + drift.q))
-        valid = (denom != 0.0) & (ratio > 0.0) & (ratio < 1.0)
-        out = np.where(valid, tc, math.inf)
-        # Points exactly on the level: crossing now iff moving toward it.
-        on = x == level
-        if np.any(on):
-            moving = drift.phi(x) < 0 if side == "below" else drift.phi(x) > 0
-            out = np.where(on, np.where(moving, 0.0, math.inf), out)
-        # Points already past the level.
-        past = x < level if side == "below" else x > level
-        out = np.where(past, 0.0, out)
-        return out
-    raise ValueError("vector crossing times need constant or relaxing drift")
+    below = side == "below"
+    ahead = x > level if below else x < level
+    if ahead.all():
+        return drift.travel_time(x, level)
+    out = np.zeros(x.shape)
+    out[ahead] = drift.travel_time(x[ahead], level)
+    on = x == level
+    if on.any():
+        ph = drift.phi(x[on])
+        out[on] = np.where(ph < 0 if below else ph > 0, 0.0, math.inf)
+    return out
 
 
-def _vector_flow(drift: DriftSpec, x, dt):
-    x = np.asarray(x, float)
+def _vector_flow(drift: DriftSpec, x, dt, tol: float = 1e-10):
+    """Vector version of :func:`flow` for the batch engine."""
     dt = np.asarray(dt, float)
-    if isinstance(drift, ConstantDrift):
-        return x + drift.c * dt
-    if isinstance(drift, SegerdahlDrift):
-        two_mu = 2.0 * drift.mu
-        y0 = np.exp(two_mu * x)
-        y = drift.K + (y0 - drift.K) * np.exp(-2.0 * (drift.lam + drift.q) * dt)
-        if np.any(y <= 0.0):
-            raise ValueError("flow left the representable range (x -> -inf)")
-        return np.log(y) / two_mu
-    raise ValueError("vector flow needs constant or relaxing drift")
+    if np.any(dt < 0):
+        raise ValueError("dt must be nonnegative")
+    return drift.flow(np.asarray(x, float), dt, tol)
 
 
 def _run_block(
@@ -440,7 +302,9 @@ def _run_block(
     l, L = problem.lower, problem.upper_value
     want_ruin = problem.estimand == "ruin_below"
 
-    if isinstance(drift, TabulatedDrift):
+    # Tabulated drifts keep the per-path engine for now: perfbench's traced
+    # run counts their simulate_path calls (ROADMAP item 2).
+    if drift.kind == "tabulated":
         return _run_block_scalar(
             model, problem, x0, n, rng, horizon, kill_mode, flow_tol, collect_overshoots
         )
@@ -520,7 +384,7 @@ def _run_block(
         if not np.any(go):
             continue
         g_idx = idx[go]
-        x_new = _vector_flow(drift, xi_cur[go], waits[go])
+        x_new = _vector_flow(drift, xi_cur[go], waits[go], flow_tol)
         t_new = t_cur[go] + waits[go]
         jumps = ph_sample(model.jumps, rng, size=g_idx.size)
         if down:
@@ -599,7 +463,7 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     Returns the sample mean of the per-path weights together with its
     standard error (sample standard deviation / sqrt(n_paths)).  Set
     ``collect_jump_overshoots`` to additionally expose the overshoot
-    samples of jump-triggered ruins via the ``overshoots`` attribute.
+    samples of jump-triggered ruins in the ``overshoots`` field.
     """
     horizon = cfg.resolved_max_time()
     n_blocks = (cfg.n_paths + cfg.block_size - 1) // cfg.block_size
@@ -608,37 +472,27 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     ]
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
 
-    def run(i):
-        rng = np.random.default_rng(children[i])
-        return _run_block(
+    moments = (0, 0.0, 0.0)
+    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
+    overshoots = []
+    for child, size in zip(children, sizes):  # merged in block order: deterministic
+        weights, cts, osh = _run_block(
             cfg.model,
             cfg.problem,
             cfg.x0,
-            sizes[i],
-            rng,
+            size,
+            np.random.default_rng(child),
             horizon,
             cfg.kill_mode,
             cfg.flow_tolerance,
             collect_jump_overshoots,
         )
-
-    if cfg.n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(run, range(n_blocks)))
-    else:
-        results = [run(i) for i in range(n_blocks)]
-
-    moments = (0, 0.0, 0.0)
-    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
-    overshoots = []
-    for weights, cts, osh in results:  # merged in block order: deterministic
         m = weights.mean()
         m2 = float(np.sum((weights - m) ** 2))
         moments = _merge_moments(moments, (weights.size, float(m), m2))
         for k in counts:
             counts[k] += cts[k]
-        if collect_jump_overshoots and osh.size:
-            overshoots.append(osh)
+        overshoots.append(osh)
 
     n, mean, m2 = moments
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
@@ -655,7 +509,7 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
             UserWarning,
             stacklevel=2,
         )
-    est = PassageEstimate(
+    return PassageEstimate(
         mean=mean,
         std_error=std_error,
         n_paths=cfg.n_paths,
@@ -665,9 +519,8 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
         n_killed=counts["killed"],
         target=target,
         all_censored=all_censored,
+        censored_weight_bound=(
+            math.exp(-cfg.model.kill_rate * horizon) if cfg.kill_mode == "weight" else 1.0
+        ),
+        overshoots=np.concatenate(overshoots) if collect_jump_overshoots else None,
     )
-    if collect_jump_overshoots:
-        object.__setattr__(
-            est, "overshoots", np.concatenate(overshoots) if overshoots else np.empty(0)
-        )
-    return est

@@ -57,6 +57,13 @@ def require_finite(where: str, **fields) -> None:
 # Drift specifications
 # ---------------------------------------------------------------------------
 
+# Every drift type gives its flow ``flow(x, t, tol)`` and the crossing time
+# ``travel_time(x, level)``, both elementwise over arrays.  For a tabulated
+# drift both come from the clock F(x) = int dx/phi; the flow is
+# F^{-1}(F(x) + t) and the travel time F(level) - F(x).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
 @dataclass(frozen=True)
 class ConstantDrift:
     """Constant drift phi(x) = c."""
@@ -79,6 +86,16 @@ class ConstantDrift:
     def dphi(self, x):
         x = np.asarray(x, float)
         return np.zeros(x.shape) if x.ndim else 0.0
+
+    def flow(self, x, t, tol=None):
+        """Position after time ``t`` (exact; ``tol`` is unused)."""
+        return np.asarray(x, float) + self.c * np.asarray(t, float)
+
+    def travel_time(self, x, level):
+        """Time the flow from ``x`` needs to reach ``level``; +inf if never."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (level - np.asarray(x, float)) / self.c
+        return np.where(t > 0, t, math.inf)
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "c": self.c}
@@ -135,6 +152,31 @@ class SegerdahlDrift:
         val = -2.0 * (self.lam + self.q) * self.K * np.exp(-2.0 * self.mu * x)
         return val if x.ndim else float(val)
 
+    def flow(self, x, t, tol=None):
+        """Position after time ``t``: exact, the flow is linear in y = e^{2 mu x}."""
+        two_mu = 2.0 * self.mu
+        y0 = np.exp(two_mu * np.asarray(x, float))
+        y = self.K + (y0 - self.K) * np.exp(-2.0 * (self.lam + self.q) * np.asarray(t, float))
+        if np.any(y <= 0.0):
+            raise ValueError("flow left the representable range (x -> -inf)")
+        return np.log(y) / two_mu
+
+    def travel_time(self, x, level):
+        """Time the flow from ``x`` needs to reach ``level``; +inf if never.
+
+        y - K decays like e^{-2 (lam+q) t}, so the level is reached iff its
+        ratio to the start lies in (0, 1); a start at the equilibrium stays.
+        """
+        two_mu = 2.0 * self.mu
+        y = np.exp(two_mu * np.asarray(x, float))
+        yl = math.exp(two_mu * level)
+        denom = y - self.K
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (yl - self.K) / denom
+            tc = -np.log(ratio) / (2.0 * (self.lam + self.q))
+        valid = (denom != 0.0) & (ratio > 0.0) & (ratio < 1.0)
+        return np.where(valid, tc, math.inf)
+
     def to_dict(self) -> dict:
         return {"kind": "segerdahl", "K": self.K, "lam": self.lam, "q": self.q, "mu": self.mu}
 
@@ -145,7 +187,8 @@ class TabulatedDrift:
 
     ``sign_domain`` defaults to the full table and must be an interval on
     which the interpolated drift keeps one sign; the table itself may
-    extend beyond it (simulation needs margin past the boundaries).
+    extend beyond it.  Flows and crossing times live on the sign domain:
+    a flow that would leave it raises :class:`NumericalError`.
     """
 
     x: tuple[float, ...]
@@ -202,13 +245,6 @@ class TabulatedDrift:
         val = self._interp(arr)
         return val if arr.ndim else float(val)
 
-    def phi_clipped(self, x):
-        """Constant extension beyond the table; for flow trial steps only."""
-        lo, hi = self.table_range
-        arr = np.clip(np.asarray(x, float), lo, hi)
-        val = self._interp(arr)
-        return val if arr.ndim else float(val)
-
     def dphi(self, x):
         # 4th-order central differences; the log-derivative tests downstream
         # are sensitive, so the step is tied to the table span.
@@ -224,6 +260,77 @@ class TabulatedDrift:
             + self._interp(arr - 2 * h)
         ) / (12.0 * h)
         return val if arr.ndim else float(val)
+
+    @cached_property
+    def _clock(self):
+        """Knots z of the sign domain, the clock F(z) = int_{z_0}^{z} dx/phi
+        at them, and the position resolution the clock's rounding allows."""
+        lo, hi = self.sign_domain
+        xs = np.asarray(self.x)
+        z = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+        F = np.concatenate(([0.0], np.cumsum(self._clock_step(z[:-1], z[1:]))))
+        eps = np.finfo(float).eps
+        resolution = 8.0 * eps * (np.abs(F).max() * np.abs(self._interp(z)).max() + np.abs(z).max())
+        return z, F, resolution
+
+    def _clock_step(self, a, b):
+        """int_a^b dx/phi by Gauss-Legendre, elementwise; [a, b] lies in one knot
+        interval, where the interpolant is a single polynomial."""
+        half = 0.5 * (b - a)
+        pts = (a + half)[..., None] + half[..., None] * _GL_NODES
+        return half * (_GL_WEIGHTS / self._interp(pts)).sum(axis=-1)
+
+    def _clock_at(self, x):
+        """Clock value F(x) of each x in the sign domain."""
+        z, F, _ = self._clock
+        x = np.asarray(x, float)
+        if np.any((x < z[0]) | (x > z[-1])):
+            raise NumericalError(
+                f"flow left the drift table's sign domain {self.sign_domain}: "
+                f"x in [{x.min():g}, {x.max():g}]"
+            )
+        k = np.clip(np.searchsorted(z, x, side="right") - 1, 0, z.size - 2)
+        return F[k] + self._clock_step(z[k], x)
+
+    def flow(self, x, t, tol=1e-10):
+        """Position after time ``t``: the inverse clock F^{-1}(F(x) + t).
+
+        Newton steps on F with dF/dx = 1/phi, each kept inside the knot
+        interval that brackets the target, until the step is at most ``tol``
+        (or the clock's own rounding).
+        """
+        z, F, resolution = self._clock
+        target = self._clock_at(x) + np.asarray(t, float)
+        s = np.sign(F[-1])  # F(z_0) = 0 and F increases along the domain iff phi > 0
+        if np.any((s * target < 0.0) | (s * target > s * F[-1])):
+            raise NumericalError(
+                f"flow left the drift table: its sign domain {self.sign_domain} "
+                "ends before the requested time"
+            )
+        k = np.clip(np.searchsorted(s * F, s * target, side="right") - 1, 0, z.size - 2)
+        a, b = z[k], z[k + 1]
+        x = a + (b - a) * (target - F[k]) / (F[k + 1] - F[k])
+        tol = max(tol, resolution)
+        for _ in range(50):
+            x_new = np.clip(x - (F[k] + self._clock_step(a, x) - target) * self._interp(x), a, b)
+            converged = np.all(np.abs(x_new - x) <= tol)
+            x = x_new
+            if converged:
+                return x
+        raise NumericalError("tabulated flow: the clock inversion did not converge")
+
+    def travel_time(self, x, level):
+        """Time the flow from ``x`` needs to reach ``level``: F(level) - F(x).
+
+        +inf when the flow moves away from ``level``, or when ``level`` lies
+        outside the sign domain (the flow leaves the domain first, and
+        :meth:`flow` raises once a path goes there).
+        """
+        lo, hi = self.sign_domain
+        if not lo <= level <= hi:
+            return np.full(np.shape(x), math.inf)
+        t = self._clock_at(level) - self._clock_at(x)
+        return np.where(t > 0, t, math.inf)
 
     def to_dict(self) -> dict:
         return {

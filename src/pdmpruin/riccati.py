@@ -128,9 +128,8 @@ class CanonicalForm:
     q_zero: bool
 
 
-def canonical_form(coeffs: RiccatiCoefficients, model: ModelSpec | None = None) -> CanonicalForm:
-    """Canonical form of the ratio equation; ``model`` is accepted for
-    interface symmetry but everything needed lives in ``coeffs``."""
+def canonical_form(coeffs: RiccatiCoefficients) -> CanonicalForm:
+    """Canonical form of the ratio equation."""
     mu, lam, q, drift = coeffs.mu, coeffs.lam, coeffs.q, coeffs.drift
 
     def z(x):

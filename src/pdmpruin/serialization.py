@@ -94,9 +94,17 @@ class RunConfig:
 
 
 _TOP_LEVEL = {"schema_version", "model", "problem", "grid", "sim", "output"}
+# What a block's constructor raises on a bad value inside an object.
+_FIELD_ERRORS = (ValueError, LookupError, TypeError, ArithmeticError)
 _SIM_FIELDS = {"x0", "n_paths", "seed", "max_time", "flow_tolerance", "kill_mode"}
 _GRID_FIELDS = {"start", "stop", "points"}
 _OUTPUT_FIELDS = {"directory", "format"}
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"must be an object, got {type(value).__name__}", path)
+    return value
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -113,32 +121,37 @@ def parse_config(data: dict) -> RunConfig:
         )
     if "model" not in data:
         raise ConfigError("a 'model' block is required", "$.model")
+    m = _object(data["model"], "$.model")
+    for key in ("drift", "jumps"):
+        if key in m:
+            _object(m[key], f"$.model.{key}")
     try:
-        model = ModelSpec.from_dict(data["model"])
-    except (ValueError, KeyError, TypeError) as exc:
+        model = ModelSpec.from_dict(m)
+    except _FIELD_ERRORS as exc:
         raise ConfigError(str(exc), "$.model") from exc
 
     problem = None
     if data.get("problem") is not None:
+        pr = _object(data["problem"], "$.problem")
         try:
-            problem = PassageProblem.from_dict(data["problem"])
-        except (ValueError, KeyError, TypeError) as exc:
+            problem = PassageProblem.from_dict(pr)
+        except _FIELD_ERRORS as exc:
             raise ConfigError(str(exc), "$.problem") from exc
 
     grid = None
     if data.get("grid") is not None:
-        g = data["grid"]
+        g = _object(data["grid"], "$.grid")
         unknown = set(g) - _GRID_FIELDS
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.grid")
         try:
             grid = GridSpec(float(g["start"]), float(g["stop"]), int(g["points"]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except _FIELD_ERRORS as exc:
             raise ConfigError(str(exc), "$.grid") from exc
 
     sim = None
     if data.get("sim") is not None:
-        s = data["sim"]
+        s = _object(data["sim"], "$.sim")
         unknown = set(s) - _SIM_FIELDS
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.sim")
@@ -146,7 +159,7 @@ def parse_config(data: dict) -> RunConfig:
 
     output = None
     if data.get("output") is not None:
-        o = data["output"]
+        o = _object(data["output"], "$.output")
         unknown = set(o) - _OUTPUT_FIELDS
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.output")

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmpruin.cli as cli
 from pdmpruin.cli import (
@@ -19,6 +21,7 @@ from pdmpruin.cli import (
 from pdmpruin.passage_model import SolutionCurve
 from pdmpruin.serialization import (
     ConfigError,
+    RunConfig,
     config_to_dict,
     load_config_file,
     parse_config,
@@ -78,6 +81,37 @@ def with_value(base, path, value):
 
 
 NAN, INF = math.nan, math.inf
+
+# Config blocks that must be JSON objects.
+BLOCKS = [("model",), ("problem",), ("grid",), ("sim",), ("output",),
+          ("model", "drift"), ("model", "jumps")]
+
+# Fuzz base: every block present, a tabulated drift so its fields are reached.
+FUZZ_BASE = with_value(
+    dict(FIG1_CONFIG, output={"format": "csv", "directory": "out"}),
+    ("model", "drift"),
+    {"kind": "tabulated", "x": [0.0, 1.0, 2.0], "values": [-1.0, -1.5, -2.0],
+     "interpolation": "linear", "sign_domain": [0.0, 2.0]},
+)
+
+
+def _field_paths(block, prefix=()):
+    out = [prefix] if prefix else []
+    if isinstance(block, dict):
+        for key, value in block.items():
+            out += _field_paths(value, prefix + (key,))
+    return out
+
+
+FUZZ_PATHS = [p for p in _field_paths(FUZZ_BASE) if p != ("schema_version",)]
+FIELD_NAMES = sorted({p[-1] for p in FUZZ_PATHS} | {"kind", "c", "K", "lam", "q", "mu", "b"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["constant", "segerdahl", "tabulated", "cubic", "json", "upward"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
 
 # (base config, field path, non-finite value, subcommand); the kill rate has
 # its own out-of-process test below.
@@ -145,6 +179,24 @@ class TestConfigParsing:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="line"):
             load_config_file(str(p))
+
+    @pytest.mark.parametrize("path", BLOCKS, ids=[".".join(p) for p in BLOCKS])
+    def test_non_object_block_carries_path(self, path, tmp_path):
+        for value in (5, "csv", [1.0, 2.0], True):
+            cfg = with_value(FIG1_CONFIG, path, value)
+            with pytest.raises(ConfigError, match="must be an object") as e:
+                parse_config(cfg)
+            assert e.value.path == "$." + ".".join(path)
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--quiet"]) == EXIT_CONFIG
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+    def test_fuzzed_block_is_parsed_or_rejected(self, path, value):
+        try:
+            rc = parse_config(with_value(FUZZ_BASE, path, value))
+        except ConfigError:
+            return
+        assert isinstance(rc, RunConfig)
 
 
 class TestDispatchGates:
@@ -359,6 +411,18 @@ class TestSubcommands:
         assert len(lines) == 2
         assert lines[1].endswith("psi_q")
         capsys.readouterr()
+
+    def test_simulate_prints_true_censoring_bias_bound(self, tmp_path, capsys):
+        # weight mode, q > 0: a censored path could have added at most e^{-qT}
+        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 0.1)
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "est.json")
+        assert main(["simulate", "--config", path, "--max-time", "10",
+                     "--output", out]) == EXIT_OK
+        data = json.loads((tmp_path / "est.json").read_text())
+        assert data["n_censored"] > 0
+        bound = data["censored_fraction"] * math.exp(-0.1 * 10.0)
+        assert f"censoring bias bound: {bound:.3g}\n" in capsys.readouterr().out
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         path = write_config(tmp_path, FIG1_CONFIG)

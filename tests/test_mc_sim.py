@@ -17,9 +17,11 @@ from pdmpruin.mc_sim import (
 from pdmpruin.passage_model import (
     ConstantDrift,
     ModelSpec,
+    NumericalError,
     PassageProblem,
     SegerdahlDrift,
     TabulatedDrift,
+    constant_drift_solution,
     solve_bvp,
 )
 from pdmpruin.phase_type import exponential, tail
@@ -36,6 +38,12 @@ def fig1_model():
 
 def const_model(c=1.0, lam=1.0, q=0.0, mu=2.0):
     return ModelSpec(ConstantDrift(c), lam, q, exponential(mu))
+
+
+def tabulated_fig1_drift():
+    """400-knot cubic table of the relaxing drift on [-1, 8], sign domain [0, 8]."""
+    xs = np.linspace(-1.0, 8.0, 400)
+    return TabulatedDrift(tuple(xs), tuple(SegerdahlDrift(**FIG1).phi(xs)), "cubic", (0.0, 8.0))
 
 
 def ruin_cfg(model, x0, n, seed, **kw):
@@ -66,6 +74,25 @@ class TestFlow:
         )
         assert abs(flow(d, 1.5, 2.0) - sol.y[0, -1]) < 1e-9
 
+    def test_tabulated_matches_reference_integrator(self):
+        from scipy.integrate import solve_ivp
+
+        d = tabulated_fig1_drift()
+        for x0, dt in ((1.5, 2.0), (7.9, 3.0), (0.5, 0.2)):
+            sol = solve_ivp(
+                lambda t, x: d.phi(x), (0, dt), [x0], method="Radau", rtol=1e-13, atol=1e-14
+            )
+            assert abs(flow(d, x0, dt) - sol.y[0, -1]) < 1e-12
+
+    def test_tabulated_flow_leaving_its_domain_raises(self):
+        d = tabulated_fig1_drift()  # negative drift: the flow runs down to 0
+        t_edge = crossing_time(d, 1.0, 0.0, "below")
+        assert flow(d, 1.0, 0.999 * t_edge) > 0.0
+        with pytest.raises(NumericalError, match="^flow left the drift table"):
+            flow(d, 1.0, 1.001 * t_edge)
+        with pytest.raises(NumericalError, match="^flow left the drift table"):
+            flow(TabulatedDrift((0.0, 5.0), (1.0, 1.0)), 1.0, 4.5)
+
     def test_fixed_point(self):
         mu = 1.5
         d = SegerdahlDrift(math.exp(2 * mu), 0.5, 0.5, mu)  # equilibrium at x = 1
@@ -94,11 +121,11 @@ class TestCrossingTime:
         assert crossing_time(ConstantDrift(1.0), 0.0, 0.0, "below") == math.inf
 
     def test_relaxing_against_flow_bisection(self):
-        d = SegerdahlDrift(**FIG1)
         x0, level = 2.0, 0.3
-        t = crossing_time(d, x0, level, "below")
-        assert 0 < t < math.inf
-        assert abs(flow(d, x0, t) - level) < 1e-10
+        for d in (SegerdahlDrift(**FIG1), tabulated_fig1_drift()):
+            t = crossing_time(d, x0, level, "below")
+            assert 0 < t < math.inf
+            assert abs(flow(d, x0, t) - level) < 1e-10
         # unreachable level beyond the equilibrium
         d_pos = SegerdahlDrift(math.exp(3.0), 0.5, 0.5, 1.5)  # equilibrium x=1
         assert crossing_time(d_pos, 0.5, 1.5, "above") == math.inf
@@ -217,12 +244,28 @@ class TestEstimate:
         m = fig1_model()
         a = estimate(ruin_cfg(m, x0=1.0, n=5000, seed=11))
         b = estimate(ruin_cfg(m, x0=1.0, n=5000, seed=11))
-        c = estimate(ruin_cfg(m, x0=1.0, n=5000, seed=11, n_jobs=3))
         d = estimate(ruin_cfg(m, x0=1.0, n=5000, seed=11, block_size=512))
-        assert a.mean == b.mean == c.mean
-        assert a.std_error == c.std_error
+        assert a.mean == b.mean
+        assert a.std_error == b.std_error
         # different block structure changes the stream, not validity
         assert abs(a.mean - d.mean) < 4 * a.std_error
+
+    def test_censoring_bias_bound_is_the_largest_lost_weight(self):
+        # upward drift, q > 0: paths that outlive the horizon T are censored,
+        # and each could have added at most e^{-qT} to the estimate
+        q, T = 0.1, 10.0
+        m = const_model(c=1.0, q=q)
+        est = estimate(ruin_cfg(m, x0=1.0, n=20000, seed=2, max_time=T))
+        assert est.n_censored > 0
+        assert est.censored_weight_bound == pytest.approx(math.exp(-q * T), rel=1e-12)
+        assert est.censoring_bias_bound == pytest.approx(
+            est.censored_fraction * math.exp(-q * T), rel=1e-12
+        )
+        exact = float(constant_drift_solution(m, np.array([1.0]))[0][0])
+        assert exact - 3 * est.std_error - est.censoring_bias_bound < est.mean < exact + 3 * est.std_error
+        # under an explicit kill horizon a censored path could have added 1
+        h = estimate(ruin_cfg(m, x0=1.0, n=2000, seed=2, max_time=T, kill_mode="horizon"))
+        assert h.censoring_bias_bound == h.censored_fraction
 
     def test_exit_above_cross_oracle(self):
         mu = 1.5
@@ -308,6 +351,8 @@ class TestPassageEstimateType:
     def test_counts_and_dict(self):
         est = PassageEstimate(0.5, 0.01, 100, 60, 0, 40, 0, "psi_q")
         assert est.censored_fraction == 0.4
+        assert est.censoring_bias_bound == 0.4
+        assert est.overshoots is None
         d = est.to_dict()
         assert d["mean"] == 0.5
         assert d["target"] == "psi_q"
