@@ -314,7 +314,10 @@ def cmd_compare(args) -> int:
     except (ValueError, NumericalError) as exc:
         notes.append(f"ode_bvp unavailable: {exc}")
 
-    if model.n == 1 and model.jump_direction == "downward" and curves:
+    if problem.estimand == "exit_above":
+        notes.append("riccati_numeric unavailable: Psi/M is undefined at the lower level, "
+                     "where exit above poses M(l) = 0")
+    elif model.n == 1 and model.jump_direction == "downward" and curves:
         ref = curves.get("closed_form") or curves.get("ode_bvp")
         eta0 = ref.psi[0] / ref.m[0, 0]
         try:
@@ -343,7 +346,7 @@ def cmd_compare(args) -> int:
     idx = np.unique(np.linspace(0, grid.size - 1, k).astype(int))
     mc_means, mc_errs = [], []
     sim = dict(rc.sim or {})
-    n_paths = args.paths or int(sim.get("n_paths", 20000))
+    n_paths = args.paths if args.paths is not None else int(sim.get("n_paths", 20000))
     seed = int(sim.get("seed", 0))
     for j, i in enumerate(idx):
         cfg = rc.sim_config(x0=float(grid[i]), n_paths=n_paths, seed=seed + j)
@@ -388,11 +391,15 @@ def cmd_compare(args) -> int:
 
 def cmd_figure1(args) -> int:
     mu, lam, q, K = args.mu, args.lam, args.q, args.K
-    grid = np.linspace(0.0, args.x_max, args.points)
-    drift = SegerdahlDrift(K=K, lam=lam, q=q, mu=mu)
-    model = ModelSpec(
-        drift=drift, jump_rate=lam, kill_rate=q, jumps=exponential(mu)
-    )
+    try:
+        drift = SegerdahlDrift(K=K, lam=lam, q=q, mu=mu)
+        model = ModelSpec(drift=drift, jump_rate=lam, kill_rate=q, jumps=exponential(mu))
+        grid_spec = GridSpec(0.0, args.x_max, args.points)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "figure1") from exc
+    if not K < 1.0:
+        raise ConfigError(f"the closed form covers K < 1 only, got K={K:g}", "figure1")
+    grid = grid_spec.array()
     problem = PassageProblem(lower=0.0)
     psi, m = phi_k_closed_form(K, lam, q, mu, grid)
     if psi[0] != 1.0 or m[0] != 1.0:
@@ -413,7 +420,7 @@ def cmd_figure1(args) -> int:
     rc = RunConfig(
         model=model,
         problem=problem,
-        grid=GridSpec(0.0, args.x_max, args.points),
+        grid=grid_spec,
         sim={"x0": args.x_max / 2.0, "n_paths": 100000, "seed": 0},
     )
     _emit_config(args, rc)
@@ -423,6 +430,18 @@ def cmd_figure1(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _at_least(minimum: int):
+    """argparse ``type`` for an integer count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -446,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-integrability", help="scaling-transformation gate")
     common(p)
-    p.add_argument("--grid-points", type=int, default=256)
+    p.add_argument("--grid-points", type=_at_least(2), default=256)
     p.set_defaults(func=cmd_check_integrability)
 
     p = sub.add_parser("solve", help="closed form if available, else the ODE oracle")
@@ -456,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate")
     common(p)
-    p.add_argument("--paths", type=int, help="number of paths")
+    p.add_argument("--paths", type=_at_least(1), help="number of paths")
     p.add_argument("--seed", type=int, help="rng seed")
     p.add_argument("--max-time", type=float, help="censoring horizon")
     p.add_argument("--x0", type=float, help="initial level")
@@ -464,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cross-check all applicable methods")
     common(p)
-    p.add_argument("--paths", type=int, help="MC paths per comparison point")
-    p.add_argument("--mc-points", type=int, default=10)
+    p.add_argument("--paths", type=_at_least(1), help="MC paths per comparison point")
+    p.add_argument("--mc-points", type=_at_least(1), default=10)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure1", help="emit the reference ruin/drift curves")
@@ -475,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--K", type=float, default=0.75)
     p.add_argument("--x-max", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_at_least(2), default=201)
     p.set_defaults(func=cmd_figure1)
 
     return parser

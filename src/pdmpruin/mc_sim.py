@@ -67,6 +67,10 @@ class SimConfig:
         )
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.max_time is not None and self.max_time <= 0:
             raise ValueError("max_time must be positive")
         if not (self.problem.lower <= self.x0 <= self.problem.upper_value):

@@ -6,7 +6,10 @@ linear (n+1)-dimensional ODE system whose matrix is
 ``(lam/phi(x)) * T1 + T2`` (see :func:`lie_algebra.build_generators`).
 This module holds the drift and model types, assembles that system,
 evaluates the closed forms available for one-phase jumps, and provides a
-numerical boundary-value solver usable for any phase dimension.
+numerical boundary-value solver usable for any phase dimension: an
+initial-value integration when the drift is negative, and collocation on
+the linear two-point problem, whose boundary conditions alone depend on the
+posed problem, when it is positive.
 """
 
 from __future__ import annotations
@@ -788,29 +791,13 @@ def _nonstable_left_basis(Amat: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _stable_subspace(Amat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real basis of the decaying eigenspace and its slowest decay rate."""
-    w, V = np.linalg.eig(Amat)
-    stable = w.real < -1e-12
+def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
+    """Number of decaying eigenvalues of ``Amat`` and the slowest decay rate."""
+    w = np.linalg.eigvals(Amat).real
+    stable = w < -1e-12
     if not np.any(stable):
         raise NumericalError("truncation certificate failure: no decaying mode")
-    cols: list[np.ndarray] = []
-    seen = set()
-    for i in np.flatnonzero(stable):
-        if i in seen:
-            continue
-        if abs(w[i].imag) < 1e-12:
-            cols.append(V[:, i].real)
-        else:
-            cols.append(V[:, i].real)
-            cols.append(V[:, i].imag)
-            for j in np.flatnonzero(stable):
-                if j != i and abs(w[j] - w[i].conjugate()) < 1e-10:
-                    seen.add(j)
-        seen.add(i)
-    basis = np.array(cols)
-    rate = float(w.real[stable].max())
-    return basis, rate
+    return int(stable.sum()), float(w[stable].max())
 
 
 def solve_bvp(
@@ -823,23 +810,25 @@ def solve_bvp(
 ) -> SolutionCurve:
     """Numerical oracle for the passage system with the posed boundary data.
 
-    Two-sided and one-phase problems use adaptive integration plus linear
-    shooting; one-sided multi-phase problems with positive drift are solved
-    by collocation, since a marched basis of several decaying modes
-    collapses over the certified truncation span.
+    With negative drift and downward jumps ruin from the lower level is
+    immediate, so Psi(l) = M(l) = 1 and the system is integrated forward as
+    an initial-value problem (a finite upper level changes nothing since it
+    cannot be reached; exit above is impossible).
 
-    Boundary conditions follow the posed problem:
+    With positive drift every problem is the same linear two-point problem
+    on [l, x_end], solved by collocation; only the boundary conditions
+    differ:
 
-    * two-sided ``exit_above`` (positive drift): M(l) = 0, Psi(L) = 1;
-    * two-sided ``ruin_below`` with positive drift: M(l) = 1, Psi(L) = 0;
-    * one-sided ``ruin_below`` with negative drift: Psi(l) = M(l) = 1
-      (ruin from the boundary is immediate, so this is an initial-value
-      integration; a finite upper level changes nothing since it cannot
-      be reached);
-    * one-sided ``ruin_below`` with positive drift: M(l) = 1 plus decay at
-      a truncation point X_max where the solution is confined to the
-      decaying eigenspace of the system matrix; X_max is pushed far enough
-      that the truncation error certificate is below ``bc_tol``.
+    * ``exit_above``: M(l) = 0, Psi(L) = 1, with x_end = L;
+    * two-sided ``ruin_below``: M(l) = 1, Psi(L) = 0, with x_end = L;
+    * one-sided ``ruin_below``: M(l) = 1 plus decay at a truncation point
+      x_end = X_max, where every non-decaying mode of the system matrix is
+      projected out; X_max is pushed far enough that the truncation error
+      certificate is below ``bc_tol``.
+
+    The boundary residual is the largest violation of the posed conditions,
+    and the error estimate is the discrepancy to a rerun at a looser
+    tolerance.
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -857,114 +846,65 @@ def solve_bvp(
     phis = np.asarray(phi_checked(model.drift, sample))
     if phis.max() > 0 and phis.min() < 0:
         raise ValueError("drift changes sign on the problem domain")
-    positive = phis[0] > 0
 
-    def compose(rt, at):
+    if phis[0] < 0:
         if problem.estimand == "exit_above":
-            if not positive:
-                raise ValueError(
-                    "exit above is impossible with negative drift and downward jumps"
-                )
-            ev = _integrate_columns(A, l, L, np.eye(dim)[0][None, :], rt, at)
-            end = ev(np.array([L]))[:, 0, 0]
-            if abs(end[0]) < 1e-200:
-                raise NumericalError("shooting failed: degenerate upper boundary value")
-            scale = 1.0 / end[0]
+            raise ValueError("exit above is impossible with negative drift and downward jumps")
 
-            def solution(xs):
-                return scale * ev(xs)[:, 0, :]
-
-            bres = max(abs(solution(np.array([l]))[1:, 0]).max(initial=0.0),
-                       abs(solution(np.array([L]))[0, 0] - 1.0))
-            return solution, bres
-
-        # ruin_below
-        if math.isfinite(L) and positive:
-            base = np.zeros(dim)
-            base[1:] = 1.0
-            ev = _integrate_columns(A, l, L, np.vstack([base, np.eye(dim)[0]]), rt, at)
-            end = ev(np.array([L]))[:, :, 0]
-            if abs(end[0, 1]) < 1e-200:
-                raise NumericalError("shooting failed: degenerate upper boundary value")
-            a = -end[0, 0] / end[0, 1]
-
-            def solution(xs):
-                v = ev(xs)
-                return v[:, 0, :] + a * v[:, 1, :]
-
-            bres = max(abs(solution(np.array([l]))[1:, 0] - 1.0).max(),
-                       abs(solution(np.array([L]))[0, 0]))
-            return solution, bres
-
-        if not positive:
-            # Ruin is immediate from the lower boundary: IVP from all-ones.
+        def compose(rt, at):
             ev = _integrate_columns(A, l, float(grid[-1]), np.ones(dim)[None, :], rt, at)
 
             def solution(xs):
                 return ev(xs)[:, 0, :]
 
-            bres = abs(solution(np.array([l]))[:, 0] - 1.0).max()
-            return solution, bres
+            return solution, abs(solution(np.array([l]))[:, 0] - 1.0).max()
 
-        # One-sided, positive drift: decay condition at a certified X_max.
-        x_probe = float(grid[-1]) + 1.0
-        basis, rate = _stable_subspace(A(x_probe))
-        if basis.shape[0] != n:
-            raise NumericalError(
-                "truncation certificate failure: decaying eigenspace has dimension "
-                f"{basis.shape[0]}, expected {n}"
-            )
-        x_max = float(grid[-1]) + math.log(1e10) / (-rate)
-        basis2, rate2 = _stable_subspace(A(x_max))
-        if basis2.shape[0] != n:
-            raise NumericalError("truncation certificate failure at X_max")
+    else:
+        if math.isfinite(L):
+            x_end = L
+            m_l = 0.0 if problem.estimand == "exit_above" else 1.0  # and Psi(L) = 1 - M(l)
 
-        if n == 1:
-            # A single decaying column: backward integration is stable.
-            ev = _integrate_columns(A, x_max, l, basis2, rt, at)
-            at_l = ev(np.array([l]))[:, :, 0]  # (dim, n)
-            try:
-                coeff = np.linalg.solve(at_l[1:, :], np.ones(n))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"shooting failed: {exc}") from exc
+            def bc(Ya, Yb):
+                return np.concatenate([Ya[1:] - m_l, Yb[:1] - (1.0 - m_l)])
 
-            def solution(xs):
-                return np.tensordot(ev(xs), coeff, axes=([1], [0]))
+        else:
+            n_decay, rate = _decay_certificate(A(float(grid[-1]) + 1.0))
+            if n_decay != n:
+                raise NumericalError(
+                    "truncation certificate failure: decaying eigenspace has dimension "
+                    f"{n_decay}, expected {n}"
+                )
+            x_end = float(grid[-1]) + math.log(1e10) / (-rate)
+            n_decay, rate = _decay_certificate(A(x_end))
+            if n_decay != n:
+                raise NumericalError("truncation certificate failure at X_max")
+            w_non = _nonstable_left_basis(A(x_end))
 
-            bres = abs(solution(np.array([l]))[1:, 0] - 1.0).max()
-            return solution, bres
+            def bc(Ya, Yb):
+                return np.concatenate([Ya[1:] - 1.0, w_non @ Yb])
 
-        # Several decaying modes with disparate rates collapse a marched
-        # basis over the certified span, so pose the truncated two-point
-        # problem globally instead: M(l) = 1 plus left-eigenvector
-        # projections killing every non-decaying mode at X_max.
-        w_non = _nonstable_left_basis(A(x_max))
+        mesh = np.linspace(l, x_end, 401)
+        if math.isfinite(L):
+            guess = np.ones((dim, mesh.size))
+        else:
+            guess = np.tile(np.exp(rate * (mesh - l)), (dim, 1))
 
         def rhs(xv, Y):
             return np.einsum("ijm,jm->im", A(xv), Y)
 
-        def bc(Ya, Yb):
-            return np.concatenate([Ya[1:] - 1.0, w_non @ Yb])
+        def compose(rt, at):
+            sol = _collocation(
+                rhs, bc, mesh, guess, fun_jac=lambda xv, Y: A(xv),
+                tol=max(rt, 1e-10), max_nodes=200000,
+            )
+            if not sol.success:
+                raise NumericalError(f"collocation failed: {sol.message}")
 
-        mesh = np.linspace(l, x_max, 401)
-        guess = np.tile(np.exp(rate2 * (mesh - l)), (dim, 1))
-        sol = _collocation(
-            rhs,
-            bc,
-            mesh,
-            guess,
-            fun_jac=lambda xv, Y: A(xv),
-            tol=max(rt, 1e-10),
-            max_nodes=200000,
-        )
-        if not sol.success:
-            raise NumericalError(f"collocation failed: {sol.message}")
+            def solution(xs):
+                return sol.sol(np.atleast_1d(np.asarray(xs, float)))
 
-        def solution(xs):
-            return sol.sol(np.atleast_1d(np.asarray(xs, float)))
-
-        bres = abs(solution(np.array([l]))[1:, 0] - 1.0).max()
-        return solution, bres
+            ends = solution(np.array([l, x_end]))
+            return solution, abs(bc(ends[:, 0], ends[:, 1])).max()
 
     solution, bres = compose(rtol, atol)
     vals = solution(grid)  # (dim, len(grid))

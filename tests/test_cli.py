@@ -242,6 +242,21 @@ class TestDispatchGates:
         assert "ode_bvp" in text
 
 
+# Command lines with a bad option value, run from a directory holding only
+# cfg.json (CONST_CONFIG); each must exit 1 and write nothing.
+USAGE_ERRORS = [
+    ["figure1", *opts]
+    for opts in (["--points", "0"], ["--points", "1"], ["--mu", "-1"], ["--lam", "0"],
+                 ["--q", "-1"], ["--K", "1.5"], ["--x-max", "-1"])
+] + [
+    ["compare", "--config", "cfg.json", "--output", "cmp", *opts]
+    for opts in (["--mc-points", "0"], ["--mc-points", "-3"], ["--paths", "0"])
+] + [
+    ["check-integrability", "--config", "cfg.json", "--output", "gate", "--grid-points", "1"],
+    ["simulate", "--config", "cfg.json", "--output", "est", "--seed", "-1"],
+]
+
+
 class TestExitCodes:
     def test_solve_ok(self, tmp_path):
         path = write_config(tmp_path, FIG1_CONFIG)
@@ -298,6 +313,24 @@ class TestExitCodes:
         assert proc.returncode == EXIT_NUMERICAL
         assert "numerical failure: flow left the drift table" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
+    def test_bad_option_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, CONST_CONFIG)
+        assert main(argv) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_exit_above_compare_skips_the_ratio_oracle(self, tmp_path):
+        cfg = json.loads(json.dumps(CONST_CONFIG))
+        cfg["problem"] = {"lower": 0.0, "upper": 2.0, "estimand": "exit_above"}
+        cfg["grid"] = {"start": 0.0, "stop": 2.0, "points": 11}
+        proc = run_cli(["compare", "--config", write_config(tmp_path, cfg), "--paths", "10"])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "nothing to compare" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Psi/M is undefined at the lower level" in proc.stdout
 
     def test_single_method_compare_fails(self, tmp_path, capsys):
         # upward jumps: no closed form and no ratio oracle, one method only

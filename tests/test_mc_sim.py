@@ -337,6 +337,11 @@ class TestEstimate:
             ruin_cfg(m, x0=1.0, n=10, seed=0, kill_mode="nope")
         with pytest.raises(ValueError):
             ruin_cfg(m, x0=1.0, n=10, seed=0, max_time=-1.0)
+        for block_size in (0, -1):
+            with pytest.raises(ValueError, match="block_size"):
+                ruin_cfg(m, x0=1.0, n=10, seed=0, block_size=block_size)
+        with pytest.raises(ValueError, match="seed"):
+            ruin_cfg(m, x0=1.0, n=10, seed=-1)
 
     def test_default_max_time_scales(self):
         m = fig1_model()

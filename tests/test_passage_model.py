@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import expm
 
 from pdmpruin.lie_algebra import build_generators
 from pdmpruin.passage_model import (
@@ -373,6 +374,27 @@ class TestSolveBvp:
         grid = np.linspace(0.0, 2.0, 11)
         with pytest.raises(ValueError, match="impossible"):
             solve_bvp(m, PassageProblem(0.0, 2.0, "exit_above"), grid)
+
+    @pytest.mark.parametrize("estimand", ["exit_above", "ruin_below"])
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("jumps", [exponential(2.0), erlang(2, 2.0)], ids=["exp", "erlang2"])
+    def test_two_sided_matches_matrix_exponential(self, jumps, q, estimand):
+        # Constant drift makes A constant, so Y(x) = expm(A (x - l)) Y(l);
+        # the one free component of Y(l) is fixed by the condition at L.
+        m = ModelSpec(ConstantDrift(1.0), 1.0, q, jumps)
+        l, L = 0.0, 2.0
+        grid = np.linspace(l, L, 41)
+        curve = solve_bvp(m, PassageProblem(l, L, estimand), grid)
+        A = assemble_system(m)(l)
+        dim = A.shape[0]
+        e0 = np.eye(dim)[0]
+        fixed = np.zeros(dim) if estimand == "exit_above" else np.r_[0.0, np.ones(dim - 1)]
+        target = 1.0 if estimand == "exit_above" else 0.0  # Psi(L)
+        E = expm(A * (L - l))
+        Yl = fixed + (target - (E @ fixed)[0]) / (E @ e0)[0] * e0
+        Y = np.array([expm(A * (x - l)) @ Yl for x in grid])
+        assert_allclose(curve.psi, Y[:, 0], rtol=0, atol=1e-9)
+        assert_allclose(curve.m, Y[:, 1:], rtol=0, atol=1e-9)
 
     def test_erlang_jumps_general_dimension(self):
         # n = 2 one-sided problem with positive drift; sanity via bounds,
