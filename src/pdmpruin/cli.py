@@ -43,9 +43,10 @@ from .serialization import (
     GridSpec,
     RunConfig,
     config_to_dict,
+    csv_line,
     dump_json,
-    format_float,
     load_config_file,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -56,8 +57,10 @@ EXIT_COMPARISON = 3
 OUTPUT_DIR_ENV = "PDMPRUIN_OUTPUT_DIR"
 
 
-def _output_dir(args) -> str:
-    d = getattr(args, "output_dir", None) or os.environ.get(OUTPUT_DIR_ENV, ".")
+def _output_dir(args, rc: RunConfig | None = None) -> str:
+    """``--output-dir``, else the config's ``output.directory``, else $PDMPRUIN_OUTPUT_DIR or ."""
+    configured = (rc.output or {}).get("directory") if rc is not None else None
+    d = getattr(args, "output_dir", None) or configured or os.environ.get(OUTPUT_DIR_ENV, ".")
     os.makedirs(d, exist_ok=True)
     return d
 
@@ -77,80 +80,65 @@ def _emit_config(args, rc: RunConfig) -> None:
 # Closed-form dispatch gates
 # ---------------------------------------------------------------------------
 
+def _constant_form(model: ModelSpec, lower: float, grid: np.ndarray):
+    return constant_drift_solution(model, grid - lower)
+
+
+def _relaxing_form(model: ModelSpec, lower: float, grid: np.ndarray):
+    drift = model.drift
+    if not isinstance(drift, SegerdahlDrift):
+        raise ValueError("needs the relaxing drift family")
+    if lower != 0.0:
+        raise ValueError("needs lower level 0")
+    coeffs = to_riccati(model)
+    mu = model.exponential_rate()
+    gaps = (drift.lam - model.jump_rate, drift.q - model.kill_rate, drift.mu - mu)
+    if max(map(abs, gaps)) >= 1e-12:
+        raise ValueError("needs drift family rates matching the model rates")
+    psi, m = phi_k_closed_form(drift.K, model.jump_rate, model.kill_rate, mu, grid)
+    gate = allen_stein_test(coeffs, chebyshev_grid(float(grid[0]), float(grid[-1])))
+    if not (gate.integrable and abs(gate.params.c1) <= 1e-8):
+        raise ValueError("needs the scaling-transformation gate to pass")
+    return psi, m
+
+
+def _zero_kill_form(model: ModelSpec, lower: float, grid: np.ndarray):
+    if lower != 0.0:
+        raise ValueError("needs lower level 0")
+    probe = np.linspace(max(0.0, grid[0]), grid[-1], 65)
+    try:
+        positive = bool(np.all(np.asarray(phi_checked(model.drift, probe)) > 0))
+    except ValueError:
+        positive = False
+    if not positive:
+        raise ValueError(
+            "needs positive drift for the decay normalization to be the ruin probability"
+        )
+    return segerdahl_q0_solution(model, grid)
+
+
+# Tried in this order.  Each form maps (model, lower level, grid) to
+# (psi, m), or raises ValueError/NumericalError whose message ("needs ...")
+# names the precondition it lacks.
+CLOSED_FORMS = (
+    ("constant-drift closed form", _constant_form),
+    ("relaxing-drift closed form", _relaxing_form),
+    ("zero-kill quadrature form", _zero_kill_form),
+)
+
+
 def closed_form_gates(model: ModelSpec, problem: PassageProblem, grid: np.ndarray):
     """Try each closed form in order; returns (curve | None, failure reasons)."""
+    if problem.estimand != "ruin_below" or problem.upper is not None:
+        return None, ["closed forms: need a one-sided ruin_below problem"]
     reasons: list[str] = []
-    drift = model.drift
-    l = problem.lower
-    one_sided_ruin = problem.estimand == "ruin_below" and problem.upper is None
-    one_phase_down = model.n == 1 and model.jump_direction == "downward"
-
-    if isinstance(drift, ConstantDrift):
-        if one_phase_down and drift.c > 0 and one_sided_ruin:
-            psi, m = constant_drift_solution(model, grid - l)
-            return SolutionCurve(grid, psi, m, "closed_form"), reasons
-        reasons.append(
-            "constant-drift closed form: needs one-phase downward jumps, c > 0, "
-            "and a one-sided ruin problem"
-        )
-
-    if isinstance(drift, SegerdahlDrift):
-        missing = []
-        if not one_phase_down:
-            missing.append("one-phase downward jumps")
-        if not (one_sided_ruin and l == 0.0):
-            missing.append("a one-sided ruin problem from level 0")
-        if not drift.K < 1.0:
-            missing.append("K < 1")
-        if one_phase_down:
-            mu = model.exponential_rate()
-            if not (
-                abs(drift.lam - model.jump_rate) < 1e-12
-                and abs(drift.q - model.kill_rate) < 1e-12
-                and abs(drift.mu - mu) < 1e-12
-            ):
-                missing.append("drift family rates matching the model rates")
-        if not missing:
-            coeffs = to_riccati(model)
-            gate_grid = chebyshev_grid(float(grid[0]), float(grid[-1]))
-            gate = allen_stein_test(coeffs, gate_grid)
-            if gate.integrable and abs(gate.params.c1) <= 1e-8:
-                mu = model.exponential_rate()
-                psi, m = phi_k_closed_form(
-                    drift.K, model.jump_rate, model.kill_rate, mu, grid
-                )
-                return SolutionCurve(grid, psi, m, "closed_form"), reasons
-            missing.append("the scaling-transformation gate to pass")
-        reasons.append("relaxing-drift closed form: needs " + ", ".join(missing))
-
-    if (
-        model.kill_rate == 0.0
-        and one_phase_down
-        and one_sided_ruin
-        and l == 0.0
-        and not isinstance(drift, ConstantDrift)
-    ):
-        probe = np.linspace(max(0.0, grid[0]), grid[-1], 65)
+    for name, form in CLOSED_FORMS:
         try:
-            positive = bool(np.all(np.asarray(phi_checked(drift, probe)) > 0))
-        except ValueError:
-            positive = False
-        if positive:
-            try:
-                psi, m = segerdahl_q0_solution(model, grid)
-                return SolutionCurve(grid, psi, m, "closed_form"), reasons
-            except (ValueError, NumericalError) as exc:
-                reasons.append(f"zero-kill quadrature form: {exc}")
+            psi, m = form(model, problem.lower, grid)
+        except (ValueError, NumericalError) as exc:
+            reasons.append(f"{name}: {exc}")
         else:
-            reasons.append(
-                "zero-kill quadrature form: needs positive drift for the decay "
-                "normalization to be the ruin probability"
-            )
-    elif not isinstance(drift, (ConstantDrift, SegerdahlDrift)):
-        reasons.append(
-            "zero-kill quadrature form: needs kill rate 0, one-phase downward "
-            "jumps, and a one-sided ruin problem from level 0"
-        )
+            return SolutionCurve(grid, psi, m, "closed_form"), reasons
     return None, reasons
 
 
@@ -234,7 +222,7 @@ def cmd_solve(args) -> int:
         for r in reasons:
             _say(args, f"gate failed: {r}")
         curve = solve_bvp(rc.model, problem, grid)
-    base = args.output or os.path.join(_output_dir(args), "solution")
+    base = args.output or os.path.join(_output_dir(args, rc), "solution")
     fmt = args.format or (rc.output or {}).get("format", "csv")
     if fmt == "csv":
         path = base if base.endswith(".csv") else base + ".csv"
@@ -273,14 +261,11 @@ def cmd_simulate(args) -> int:
                 "n_censored", "n_killed", "target",
             ]
             row = [
-                format_float(cfg.x0), format_float(est.mean), format_float(est.std_error),
-                str(est.n_paths), str(est.n_ruined), str(est.n_escaped),
-                str(est.n_censored), str(est.n_killed), est.target,
+                cfg.x0, est.mean, est.std_error, est.n_paths, est.n_ruined,
+                est.n_escaped, est.n_censored, est.n_killed, est.target,
             ]
-            with open(args.output, "w", newline="\n") as f:
-                f.write(",".join(cols) + "\n")
-                f.write(",".join(row) + "\n")
             path = args.output
+            write_csv(path, cols, [row])
         else:
             path = args.output if args.output.endswith(".json") else args.output + ".json"
             dump_json(est.to_dict(), path)
@@ -361,19 +346,16 @@ def cmd_compare(args) -> int:
     violations = count_mc_violations(ref_vals, mc_means, mc_errs)
 
     header = ["x"] + [f"psi_{n}" for n in names] + ["mc_mean", "mc_3sigma"]
-    lines = [",".join(header)]
-    for j, i in enumerate(idx):
-        row = [format_float(grid[i])]
-        row += [format_float(curves[n].psi[i]) for n in names]
-        row += [format_float(mc_means[j]), format_float(3.0 * mc_errs[j])]
-        lines.append(",".join(row))
-    for line in lines:
-        _say(args, line)
+    rows = [
+        [grid[i], *(curves[n].psi[i] for n in names), mc_means[j], 3.0 * mc_errs[j]]
+        for j, i in enumerate(idx)
+    ]
+    for row in [header, *rows]:
+        _say(args, csv_line(row))
 
     if args.output:
         path = args.output if args.output.endswith(".csv") else args.output + ".csv"
-        with open(path, "w", newline="\n") as f:
-            f.write("".join(line + "\n" for line in lines))
+        write_csv(path, header, rows)
         _say(args, f"wrote {path}")
     _emit_config(args, rc)
 
@@ -408,10 +390,7 @@ def cmd_figure1(args) -> int:
     ruin_path = os.path.join(out_dir, "figure1_ruin.csv")
     SolutionCurve(grid, psi, m, "closed_form").to_csv(ruin_path)
     drift_path = os.path.join(out_dir, "figure1_drift.csv")
-    with open(drift_path, "w", newline="\n") as f:
-        f.write("x,phi\n")
-        for x in grid:
-            f.write(f"{format_float(x)},{format_float(drift.phi(x))}\n")
+    write_csv(drift_path, ["x", "phi"], [[x, drift.phi(x)] for x in grid])
     _say(args, f"psi(0) = {psi[0]:g}, M(0) = {m[0]:g}")
     _say(args, f"phi(0) = {drift.phi(0.0):.12g}")
     _say(args, f"asymptotic decay rate: {asymptotic_rate(lam, q, mu):.6g}")

@@ -157,9 +157,9 @@ def closure(
             for f in frontier:
                 if len(span) >= cap:
                     break
-                for c in (commutator(a, f), commutator(f, a)):
-                    if len(span) < cap and span.try_add(c):
-                        new.append(span.matrices(n)[-1])
+                # [f, a] = -[a, f] exactly, so one order spans both.
+                if span.try_add(commutator(a, f)):
+                    new.append(span.matrices(n)[-1])
         frontier = new
         if len(span) >= cap:
             cap_reached = True

@@ -425,7 +425,7 @@ class ModelSpec:
     def exponential_rate(self) -> float:
         """Rate of one-phase exponential jumps; errors for n > 1."""
         if self.n != 1:
-            raise ValueError("model does not have one-phase exponential jumps")
+            raise ValueError("needs one-phase exponential jumps")
         return float(-self.jumps.B[0, 0])
 
     def to_dict(self) -> dict:
@@ -523,23 +523,13 @@ class SolutionCurve:
     def n_phases(self) -> int:
         return self.m.shape[1]
 
-    def to_csv(self, path_or_file) -> None:
+    def to_csv(self, path) -> None:
         """Columns x, psi, m_1..m_n, method; 17 significant digits, LF endings."""
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            f = open(path_or_file, "w", newline="\n")
-            close = True
-        else:
-            f = path_or_file
-        try:
-            cols = ["x", "psi"] + [f"m_{i+1}" for i in range(self.n_phases)] + ["method"]
-            f.write(",".join(cols) + "\n")
-            for i, x in enumerate(self.grid):
-                nums = [x, self.psi[i], *self.m[i]]
-                f.write(",".join(f"{v:.17g}" for v in nums) + f",{self.method}\n")
-        finally:
-            if close:
-                f.close()
+        from .serialization import write_csv  # serialization imports this module
+
+        cols = ["x", "psi"] + [f"m_{i+1}" for i in range(self.n_phases)] + ["method"]
+        rows = [[x, self.psi[i], *self.m[i], self.method] for i, x in enumerate(self.grid)]
+        write_csv(path, cols, rows)
 
     def to_dict(self) -> dict:
         d = {
@@ -600,13 +590,13 @@ class ConstantDriftRoot:
 def constant_drift_root(model: ModelSpec) -> ConstantDriftRoot:
     """Smallest positive root of c*mu*eta^2 - (c*mu+lam+q)*eta + lam = 0."""
     if not isinstance(model.drift, ConstantDrift):
-        raise ValueError("constant-drift closed form needs a ConstantDrift model")
+        raise ValueError("needs constant drift")
     c = model.drift.c
     if c <= 0:
-        raise ValueError("constant-drift closed form needs positive drift c > 0")
+        raise ValueError("needs positive drift c > 0")
     mu = model.exponential_rate()
     if model.jump_direction != "downward":
-        raise ValueError("constant-drift closed form covers downward jumps only")
+        raise ValueError("needs downward jumps")
     lam, q = model.jump_rate, model.kill_rate
     a, b_, cc = c * mu, -(c * mu + lam + q), lam
     disc = b_ * b_ - 4.0 * a * cc
@@ -614,14 +604,14 @@ def constant_drift_root(model: ModelSpec) -> ConstantDriftRoot:
         if disc > -1e-12 * b_ * b_:
             disc = 0.0
         else:
-            raise ValueError("no real ratio root: misposed constant-drift problem")
+            raise ValueError("needs a real ratio root (the problem is misposed)")
     sq = math.sqrt(disc)
     # Stable quadratic roots (b_ < 0 always here).
     r1 = (-b_ - sq) / (2.0 * a)
     r2 = cc / (a * r1)
     lo, hi = (r2, r1) if r2 <= r1 else (r1, r2)
     if not (0.0 < lo <= 1.0 + 1e-12):
-        raise ValueError("no ratio root in (0, 1]: misposed constant-drift problem")
+        raise ValueError("needs a ratio root in (0, 1] (the problem is misposed)")
     return ConstantDriftRoot(eta=min(lo, 1.0), eta_other=hi, critical=(disc == 0.0))
 
 
@@ -644,10 +634,10 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
     but the constant pair is the probabilistic one).
     """
     if model.kill_rate != 0.0:
-        raise ValueError("zero-kill closed form requires kill_rate == 0")
+        raise ValueError("needs kill rate 0")
     mu = model.exponential_rate()
     if model.jump_direction != "downward":
-        raise ValueError("zero-kill closed form covers downward jumps only")
+        raise ValueError("needs downward jumps")
     lam = model.jump_rate
     drift = model.drift
     arr = np.atleast_1d(np.asarray(x, float))
@@ -675,7 +665,7 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
         if xc > 1e7:
             break
     if delta is None:
-        raise ValueError("divergent normalization integral: the exponent does not decay")
+        raise ValueError("needs a decaying exponent (the normalization integral diverges)")
 
     def rhs(v, y):
         J, F = y
@@ -700,7 +690,7 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
         probe = np.linspace(xc, 4.0 * xc, 65)
         s = float(np.max(zprime(probe)))
         if s >= 0:
-            raise ValueError("divergent normalization integral: the exponent does not decay")
+            raise ValueError("needs a decaying exponent (the normalization integral diverges)")
         delta = -s
     else:
         raise NumericalError("could not certify the improper integral remainder")
@@ -800,14 +790,15 @@ def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
     return int(stable.sum()), float(w[stable].max())
 
 
-def solve_bvp(
-    model: ModelSpec,
-    problem: PassageProblem,
-    grid,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    bc_tol: float = 1e-8,
-) -> SolutionCurve:
+# Tolerances of :func:`solve_bvp`: relative and absolute ones of the solve
+# (collocation takes max(BVP_RTOL, 1e-10) and no absolute one), and the
+# largest boundary residual accepted.
+BVP_RTOL = 1e-11
+BVP_ATOL = 1e-13
+BVP_BC_TOL = 1e-8
+
+
+def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     """Numerical oracle for the passage system with the posed boundary data.
 
     With negative drift and downward jumps ruin from the lower level is
@@ -824,7 +815,7 @@ def solve_bvp(
     * one-sided ``ruin_below``: M(l) = 1 plus decay at a truncation point
       x_end = X_max, where every non-decaying mode of the system matrix is
       projected out; X_max is pushed far enough that the truncation error
-      certificate is below ``bc_tol``.
+      certificate is below ``BVP_BC_TOL``.
 
     The boundary residual is the largest violation of the posed conditions,
     and the error estimate is the discrepancy to a rerun at a looser
@@ -906,15 +897,15 @@ def solve_bvp(
             ends = solution(np.array([l, x_end]))
             return solution, abs(bc(ends[:, 0], ends[:, 1])).max()
 
-    solution, bres = compose(rtol, atol)
+    solution, bres = compose(BVP_RTOL, BVP_ATOL)
     vals = solution(grid)  # (dim, len(grid))
     # Error estimate: rerun at a looser tolerance and take the discrepancy.
-    loose, _ = compose(max(rtol * 1e3, 1e-8), max(atol * 1e3, 1e-10))
+    loose, _ = compose(max(BVP_RTOL * 1e3, 1e-8), max(BVP_ATOL * 1e3, 1e-10))
     vals_loose = loose(grid)
     err = np.max(np.abs(vals - vals_loose), axis=0)
 
-    if bres > bc_tol:
-        raise NumericalError(f"boundary residual {bres:.3e} exceeds {bc_tol:.1e}")
+    if bres > BVP_BC_TOL:
+        raise NumericalError(f"boundary residual {bres:.3e} exceeds {BVP_BC_TOL:.1e}")
     return SolutionCurve(
         grid=grid,
         psi=vals[0],

@@ -86,9 +86,9 @@ class RiccatiCoefficients:
 def to_riccati(model: ModelSpec) -> RiccatiCoefficients:
     """Riccati coefficients of the ratio equation for a one-phase model."""
     if model.n != 1:
-        raise ValueError("matrix Riccati equations (n > 1) are not supported")
+        raise ValueError("needs one-phase jumps (matrix Riccati equations are not supported)")
     if model.jump_direction != "downward":
-        raise ValueError("the ratio reduction is derived for downward jumps")
+        raise ValueError("needs downward jumps (the ratio reduction is derived for them)")
     mu = model.exponential_rate()
     lam, q = model.jump_rate, model.kill_rate
     drift = model.drift
@@ -261,7 +261,7 @@ def phi_k_drift(K: float, lam: float, q: float, mu: float) -> DriftSpec:
 
 def _check_k_regime(K: float, x) -> np.ndarray:
     if K >= 1.0:
-        raise ValueError("the closed form covers K < 1 (strictly negative drift) only")
+        raise ValueError("needs K < 1 (strictly negative drift)")
     if K == 0.0:
         raise ValueError("K must be nonzero")
     arr = np.atleast_1d(np.asarray(x, float))

@@ -10,7 +10,6 @@ between runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,8 @@ __all__ = [
     "config_to_dict",
     "dump_json",
     "format_float",
+    "csv_line",
+    "write_csv",
 ]
 
 SCHEMA_VERSION = "1"
@@ -163,6 +164,8 @@ def parse_config(data: dict) -> RunConfig:
         unknown = set(o) - _OUTPUT_FIELDS
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.output")
+        if not isinstance(o.get("directory", ""), str):
+            raise ConfigError("must be a string", "$.output.directory")
         fmt = o.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}", "$.output.format")
@@ -203,6 +206,15 @@ def dump_json(obj: dict, path: str) -> None:
 
 
 def format_float(v: float) -> str:
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return f"{v:.17g}"
+
+
+def csv_line(row) -> str:
+    """One CSV line: floats with 17 significant digits, everything else as ``str``."""
+    return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header line, then one line per row, LF endings."""
+    with open(path, "w", newline="\n") as f:
+        f.writelines(csv_line(row) + "\n" for row in [header, *rows])

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,20 @@ CONST_CONFIG = {
     "grid": {"start": 0.0, "stop": 5.0, "points": 21},
     "sim": {"x0": 1.0, "n_paths": 4000, "seed": 3, "max_time": 60.0},
 }
+
+
+ERLANG3_JUMPS = {
+    "beta": [1.0, 0.0, 0.0],
+    "B": [[-3.0, 3.0, 0.0], [0.0, -3.0, 3.0], [0.0, 0.0, -3.0]],
+}
+
+
+def _readme_command_lines():
+    """The ``pdmpruin ...`` lines of the README's subcommand block, comments cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Subcommands:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("pdmpruin ")]
+    return [ln.split("#", 1)[0].strip() for ln in lines]
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -221,6 +237,27 @@ class TestDispatchGates:
         assert curve is None
         assert any("rates matching" in r for r in reasons)
 
+    def test_erlang_constant_drift_gives_one_reason_per_form(self):
+        cfg = with_value(CONST_CONFIG, ("model", "jumps"), ERLANG3_JUMPS)
+        cfg["model"]["kill_rate"] = 0.5
+        rc = parse_config(cfg)
+        curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
+        assert curve is None
+        assert len(reasons) == len(cli.CLOSED_FORMS)
+        lacks = ["one-phase exponential jumps", "the relaxing drift family", "kill rate 0"]
+        for (name, _), reason, lack in zip(cli.CLOSED_FORMS, reasons, lacks):
+            assert reason == f"{name}: needs {lack}"
+            assert "form" not in reason[len(name):]
+
+    @pytest.mark.parametrize("estimand", ["ruin_below", "exit_above"])
+    def test_two_sided_problem_gives_the_one_sided_reason(self, estimand):
+        cfg = with_value(CONST_CONFIG, ("problem",),
+                         {"lower": 0.0, "upper": 5.0, "estimand": estimand})
+        rc = parse_config(cfg)
+        curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
+        assert curve is None
+        assert reasons == ["closed forms: need a one-sided ruin_below problem"]
+
     def test_perturbed_tabulated_drift_falls_to_bvp(self, tmp_path):
         xs = np.linspace(-1.0, 8.0, 400)
         base = 0.5 + 0.5
@@ -376,6 +413,22 @@ class TestCompare:
         assert header.startswith("x,psi_")
         assert "mc_mean" in header
 
+    def test_csv_equals_stdout_table(self, tmp_path, capsys):
+        path = write_config(tmp_path, CONST_CONFIG)
+        out = tmp_path / "cmp.csv"
+        rcode = main(
+            ["compare", "--config", path, "--output", str(out), "--paths", "2000",
+             "--mc-points", "3"]
+        )
+        assert rcode == EXIT_OK
+        text = out.read_bytes().decode()
+        assert text.endswith("\n") and "\r" not in text
+        table = text.splitlines()
+        assert len(table) == 4
+        stdout = capsys.readouterr().out.splitlines()
+        start = stdout.index(table[0])
+        assert stdout[start : start + len(table)] == table
+
     def test_relaxing_drift_compare_within_mc_band(self, tmp_path, capsys):
         path = write_config(tmp_path, FIG1_CONFIG)
         rcode = main(["compare", "--config", path, "--paths", "5000", "--mc-points", "5"])
@@ -461,6 +514,39 @@ class TestSubcommands:
         path = write_config(tmp_path, FIG1_CONFIG)
         main(["check-integrability", "--config", path, "--quiet"])
         assert capsys.readouterr().out == ""
+
+
+class TestOutputDirectory:
+    def test_precedence(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "from_env")
+        configured = write_config(
+            tmp_path, dict(CONST_CONFIG, output={"directory": "from_config"}), "configured.json"
+        )
+        plain = write_config(tmp_path, CONST_CONFIG, "plain.json")
+        runs = [
+            (["--config", configured, "--output-dir", "from_flag"], "from_flag"),
+            (["--config", configured], "from_config"),
+            (["--config", plain], "from_env"),
+        ]
+        for argv, directory in runs:
+            assert main(["solve", "--quiet", *argv]) == EXIT_OK
+            assert (tmp_path / directory / "solution.csv").is_file()
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV)
+        assert main(["solve", "--quiet", "--config", plain]) == EXIT_OK
+        assert (tmp_path / "solution.csv").is_file()
+
+    def test_directory_must_be_a_string(self, tmp_path):
+        with pytest.raises(ConfigError, match="must be a string") as e:
+            parse_config(dict(CONST_CONFIG, output={"directory": 5}))
+        assert e.value.path == "$.output.directory"
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_parses(line):
+    # Square brackets mark optional arguments in the README.
+    argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+    cli.build_parser().parse_args(argv)
 
 
 class TestFigure1:
