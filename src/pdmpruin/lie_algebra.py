@@ -210,10 +210,16 @@ def _closure_residual(basis: Sequence[np.ndarray], tol: float) -> float:
 
 def _derived_span(basis: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
     n = basis[0].shape[0]
+    # [h, h] lies inside h exactly, so each commutator is projected onto h
+    # first: its rounding error outside h must not count as a dimension.
+    outer = _Span(n * n, tol)
+    for m in basis:
+        outer.try_add(m)
+    Q = outer.rows[: outer.count]
     span = _Span(n * n, tol)
     for i, a in enumerate(basis):
         for b in basis[i + 1 :]:
-            c = commutator(a, b)
+            c = (Q @ commutator(a, b).reshape(-1)) @ Q
             nc = np.linalg.norm(c)
             if nc > 0.0:
                 span.try_add(c / nc)

@@ -20,9 +20,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_bvp as _collocation
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, interp1d
 
 from .phase_type import PhaseType, validate
 
@@ -229,9 +226,19 @@ class TabulatedDrift:
 
     @cached_property
     def _spline(self):
+        xs, vs = np.asarray(self.x), np.asarray(self.values)
         if self.interpolation == "cubic":
-            return CubicSpline(np.asarray(self.x), np.asarray(self.values))
-        return interp1d(np.asarray(self.x), np.asarray(self.values), kind="linear")
+            from scipy.interpolate import CubicSpline
+
+            return CubicSpline(xs, vs)
+
+        def linear(x):
+            # np.interp would clamp; a linear table never extrapolates.
+            if np.any((x < xs[0]) | (x > xs[-1])):
+                raise ValueError("tabulated drift evaluated outside its table range")
+            return np.interp(x, xs, vs)
+
+        return linear
 
     def _interp(self, x):
         return np.asarray(self._spline(x), float)
@@ -672,6 +679,8 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
         zp = lam / phi_checked(drift, v)
         return [zp, math.exp(-mu * v + J)]
 
+    from scipy.integrate import solve_ivp
+
     sols = []
     start, y0 = 0.0, [0.0, 0.0]
     for _ in range(80):
@@ -736,8 +745,18 @@ def segerdahl_q0_solution(model: ModelSpec, x, quad_tol: float = 1e-10):
 # Numerical boundary-value oracle
 # ---------------------------------------------------------------------------
 
+def _collocation(*args, **kwargs):
+    """:func:`scipy.integrate.solve_bvp`, imported on first use; a module-level
+    name, so a tracer can wrap the collocation call."""
+    from scipy.integrate import solve_bvp
+
+    return solve_bvp(*args, **kwargs)
+
+
 def _integrate_columns(A, x0, x1, Y0, rtol, atol):
     """Dense solution of Y' = A(x) Y for one or more stacked columns."""
+    from scipy.integrate import solve_ivp
+
     Y0 = np.atleast_2d(np.asarray(Y0, float))  # (k, dim)
     k, dim = Y0.shape
 

@@ -10,9 +10,9 @@ its density ``beta @ expm(B x) @ b`` with exit-rate vector ``b = -B @ 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "PhaseType",
@@ -101,6 +101,21 @@ class PhaseType:
     def b(self) -> np.ndarray:
         """Exit-rate column vector, always recomputed as -B @ 1."""
         return -self.B @ np.ones(self.n)
+
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sampler tables: exit rates, the cumulative embedded chain (row i
+        over phases 0..n-1 then absorption) and the cumulative start law."""
+        if np.any(self.beta < 0) or not self.beta.sum() > 0:
+            raise ValueError("beta must be a probability vector to sample")
+        n = self.n
+        exit_rates = -np.diag(self.B)
+        P = np.empty((n, n + 1))
+        P[:, :n] = (self.B - np.diag(np.diag(self.B))) / exit_rates[:, None]
+        P[:, n] = self.b / exit_rates
+        start = np.cumsum(self.beta / self.beta.sum())
+        start /= start[-1]
+        return exit_rates, np.cumsum(P, axis=1), start
 
     def mean(self) -> float:
         """First moment, beta @ (-B)^(-1) @ 1."""
@@ -257,6 +272,8 @@ def matrix_exp(M, t: float = 1.0) -> np.ndarray:
     ValueError
         For non-square or non-finite input.
     """
+    from scipy.linalg import expm
+
     A = np.asarray(M, dtype=float) * t
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
@@ -293,16 +310,9 @@ def sample(pt: PhaseType, rng: np.random.Generator, size: int | None = None):
     """
     n = pt.n
     N = 1 if size is None else int(size)
-    exit_rates = -np.diag(pt.B)
-    # Embedded transition probabilities: row i -> phases 0..n-1 then absorption.
-    P = np.empty((n, n + 1))
-    P[:, :n] = (pt.B - np.diag(np.diag(pt.B))) / exit_rates[:, None]
-    P[:, n] = pt.b / exit_rates
-    cumP = np.cumsum(P, axis=1)
-
-    if np.any(pt.beta < 0):
-        raise ValueError("beta must be a probability vector to sample")
-    phase = rng.choice(n, size=N, p=pt.beta / pt.beta.sum())
+    exit_rates, cumP, start = pt._chain
+    # The inverse-CDF draw Generator.choice(n, size=N, p=beta) makes.
+    phase = start.searchsorted(rng.random(N), side="right")
     total = np.zeros(N)
     active = np.ones(N, dtype=bool)
     while np.any(active):

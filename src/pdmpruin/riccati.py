@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .passage_model import (
     ConstantDrift,
@@ -415,6 +414,8 @@ def riccati_numeric(
     Raises :class:`RiccatiBlowUpError` with the pole location when the
     solution escapes past ``blowup_threshold`` inside the range.
     """
+    from scipy.integrate import solve_ivp
+
     x0, x1 = float(x_range[0]), float(x_range[1])
 
     def rhs(x, y):

@@ -542,6 +542,42 @@ class TestOutputDirectory:
         assert e.value.path == "$.output.directory"
 
 
+def loaded_scipy(code):
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestScipyStaysUnloaded:
+    """Steps that never integrate an ODE or exponentiate a matrix run on numpy alone."""
+
+    def test_import_cli(self):
+        assert loaded_scipy("import pdmpruin.cli") == "[]"
+
+    def test_linear_table(self):
+        code = ("from pdmpruin.passage_model import TabulatedDrift\n"
+                "d = TabulatedDrift((0.0, 1.0, 2.0), (-1.0, -1.5, -2.0), 'linear')\n"
+                "assert d.phi(0.5) == -1.25")
+        assert loaded_scipy(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "config, steps",
+        [
+            (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"]]),
+            (CONST_CONFIG, [["solve"]]),
+        ],
+        ids=["relaxing", "constant"],
+    )
+    def test_numpy_only_steps(self, tmp_path, config, steps):
+        path = write_config(tmp_path, config)
+        calls = [[*step, "--config", path, "--output", str(tmp_path / step[0]), "--quiet"]
+                 for step in steps]
+        code = f"from pdmpruin.cli import main\nassert [main(a) for a in {calls!r}] == {[0] * len(calls)!r}"
+        assert loaded_scipy(code) == "[]"
+
+
 @pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
 def test_readme_command_line_parses(line):
     # Square brackets mark optional arguments in the README.

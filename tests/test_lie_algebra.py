@@ -10,7 +10,7 @@ from pdmpruin.lie_algebra import (
     spans_equal,
 )
 from pdmpruin.passage_model import ConstantDrift, ModelSpec
-from pdmpruin.phase_type import erlang, exponential
+from pdmpruin.phase_type import coxian, erlang, exponential
 
 T1 = np.array([[1.0, -1.0], [0.0, 0.0]])
 T2 = np.array([[0.0, 0.0], [1.0, -1.0]])
@@ -144,6 +144,23 @@ class TestIsSolvable:
         ok, dims = is_solvable([np.array([[0.0, 1.0], [0.0, 0.0]])])
         assert ok
         assert dims == (1, 0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "jumps",
+        [exponential(1.0), erlang(3, 3.0), erlang(6, 6.0), coxian([3.0, 2.0, 1.0], [0.7, 0.5])],
+        ids=["exponential", "erlang3", "erlang6", "coxian3"],
+    )
+    def test_derived_series_never_grows(self, jumps, q):
+        report = closure(build_generators(model(q, lam=0.5, jumps=jumps)))
+        dims = report.derived_series_dims
+        assert all(b <= a for a, b in zip(dims, dims[1:])), dims
+        assert report.solvable == (jumps.n == 1 and q == 0.0)
+
+    def test_erlang6_zero_kill_series(self):
+        # [g', g'] lies inside g', so rounding outside g' is not a dimension.
+        report = closure(build_generators(model(0.0, lam=0.5, jumps=erlang(6, 6.0))))
+        assert report.derived_series_dims == (42, 41, 41)
 
     def test_not_closed_rejected(self):
         E12 = np.array([[0.0, 1.0], [0.0, 0.0]])

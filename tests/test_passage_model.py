@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
+from pdmpruin import passage_model
 from pdmpruin.lie_algebra import build_generators
 from pdmpruin.passage_model import (
     ConstantDrift,
@@ -107,6 +108,24 @@ class TestDrifts:
         d = TabulatedDrift((0.0, 1.0, 2.0), (1.0, 1.1, 1.2))
         with pytest.raises(ValueError):
             d.phi(3.0)
+
+    def test_tabulated_linear_matches_pointwise_interpolation(self):
+        xs = np.cumsum([0.0, 0.3, 0.7, 0.2, 1.1, 0.45])
+        vs = np.array([-1.0, -1.3, -0.9, -2.2, -1.7, -0.6])
+        d = TabulatedDrift(tuple(xs), tuple(vs), "linear")
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        t = (mids - xs[:-1]) / np.diff(xs)
+        points = np.concatenate([xs, mids])
+        expected = np.concatenate([vs, [a + s * (b - a) for a, b, s in zip(vs, vs[1:], t)]])
+        got = d.phi(points)
+        assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
+        assert [d.phi(float(p)) for p in points] == got.tolist()
+        for outside in (xs[0] - 0.1, xs[-1] + 0.1, np.array([xs[1], xs[-1] + 1e-9])):
+            with pytest.raises(ValueError, match="outside its table range"):
+                d.phi(outside)
+        # The derivative stencil at a table end reaches past it: refused, not clamped.
+        with pytest.raises(ValueError, match="outside its table range"):
+            d.dphi(xs[-1])
 
     def test_drift_serialization_round_trip(self):
         for d in (ConstantDrift(1.5), SegerdahlDrift(**FIG1),
@@ -409,6 +428,22 @@ class TestSolveBvp:
         assert np.all(np.diff(curve.psi) <= 1e-12)
         _, res = ode_residual(m, grid, curve.psi, curve.m)
         assert np.max(np.abs(res)) < 1e-6
+
+    def test_positive_drift_goes_through_the_collocation_name(self, monkeypatch):
+        # The collocation call is looked up by its module-level name at call
+        # time, so a wrapper installed there sees every multi-phase solve.
+        calls = []
+        solver = passage_model._collocation
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(passage_model, "_collocation", counted)
+        m = ModelSpec(ConstantDrift(1.0), 1.0, 0.5, erlang(3, 3.0))
+        curve = solve_bvp(m, PassageProblem(lower=0.0), np.linspace(0.0, 5.0, 51))
+        assert len(calls) == 2  # the solve and its looser error-estimate rerun
+        assert curve.method == "ode_bvp"
 
     def test_grid_and_interval_errors(self):
         m = const_model()

@@ -133,7 +133,58 @@ class TestDensity:
             assert density(pt, x) == pytest.approx(fd, abs=1e-6)
 
 
+def uncached_sample(pt, rng, size=None):
+    """The sampler as it was before its tables were cached on the law: the
+    embedded chain rebuilt per call and start phases drawn by ``rng.choice``."""
+    n = pt.n
+    N = 1 if size is None else int(size)
+    exit_rates = -np.diag(pt.B)
+    P = np.empty((n, n + 1))
+    P[:, :n] = (pt.B - np.diag(np.diag(pt.B))) / exit_rates[:, None]
+    P[:, n] = pt.b / exit_rates
+    cumP = np.cumsum(P, axis=1)
+    phase = rng.choice(n, size=N, p=pt.beta / pt.beta.sum())
+    total = np.zeros(N)
+    active = np.ones(N, dtype=bool)
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        cur = phase[idx]
+        total[idx] += rng.exponential(1.0 / exit_rates[cur])
+        u = rng.random(idx.size)
+        nxt = (u[:, None] < cumP[cur]).argmax(axis=1)
+        absorbed = nxt == n
+        active[idx[absorbed]] = False
+        phase[idx[~absorbed]] = nxt[~absorbed]
+    return float(total[0]) if size is None else total
+
+
 class TestSample:
+    @pytest.mark.parametrize("size", [None, 1, 7, 20000])
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            exponential(2.0),
+            erlang(3, 3.0),
+            coxian([3.0, 2.0, 1.0], [0.7, 0.5]),
+            PhaseType([0.1, 0.0, 0.6, 0.3], np.diag([-1.0, -2.0, -4.0, -0.5])),
+        ],
+        ids=["exponential", "erlang3", "coxian3", "hyperexponential"],
+    )
+    def test_stream_matches_uncached_sampler(self, pt, size):
+        for seed in (0, 17):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # the second call reads the cached tables
+                a, b = sample(pt, rng_a, size), uncached_sample(pt, rng_b, size)
+                assert type(a) is type(b)
+                assert np.array_equal(a, b)
+            assert rng_a.random() == rng_b.random()
+
+    def test_improper_start_law_rejected(self):
+        for beta in ([-0.5, 1.5], [0.0, 0.0]):
+            pt = PhaseType(beta, [[-1.0, 1.0], [0.0, -1.0]])
+            with pytest.raises(ValueError, match="probability vector"):
+                sample(pt, np.random.default_rng(0))
+
     def test_exponential_mean(self):
         rng = np.random.default_rng(11)
         n = 10**6
