@@ -286,6 +286,15 @@ def cmd_compare(args) -> int:
     problem = _require(rc, "problem")
     grid = _require(rc, "grid").array()
     model = rc.model
+    k = min(args.mc_points, grid.size)
+    idx = np.unique(np.linspace(0, grid.size - 1, k).astype(int))
+    # The Monte Carlo request is checked before any solver runs.
+    sim = rc.sim or {}
+    first = rc.sim_config(
+        x0=float(grid[idx[0]]),
+        n_paths=args.paths if args.paths is not None else sim.get("n_paths", 20000),
+        seed=sim.get("seed", 0),
+    )
 
     curves: dict[str, SolutionCurve] = {}
     notes: list[str] = []
@@ -327,14 +336,9 @@ def cmd_compare(args) -> int:
             _say(args, f"max |psi_{a} - psi_{b}| = {d:.3e}")
             max_disc = max(max_disc, d)
 
-    k = min(args.mc_points, grid.size)
-    idx = np.unique(np.linspace(0, grid.size - 1, k).astype(int))
     mc_means, mc_errs = [], []
-    sim = dict(rc.sim or {})
-    n_paths = args.paths if args.paths is not None else int(sim.get("n_paths", 20000))
-    seed = int(sim.get("seed", 0))
     for j, i in enumerate(idx):
-        cfg = rc.sim_config(x0=float(grid[i]), n_paths=n_paths, seed=seed + j)
+        cfg = rc.sim_config(x0=float(grid[i]), n_paths=first.n_paths, seed=first.seed + j)
         est = estimate(cfg)
         mc_means.append(est.mean)
         mc_errs.append(est.std_error)

@@ -28,7 +28,7 @@ __all__ = [
 
 #: Residual threshold for rank decisions, relative to generator norms
 #: (generators are normalized to unit Frobenius norm before spanning).
-DEFAULT_TOL = 1e-9
+SPAN_TOL = 1e-9
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -49,10 +49,9 @@ class _Span:
     all inputs are pre-normalized.
     """
 
-    def __init__(self, dim: int, tol: float):
+    def __init__(self, dim: int):
         self.rows = np.empty((dim, dim))
         self.count = 0
-        self.tol = tol
 
     def __len__(self) -> int:
         return self.count
@@ -76,7 +75,7 @@ class _Span:
             return False
         r = self._project_out(v / nv)
         nr = np.linalg.norm(r)
-        if nr <= self.tol:
+        if nr <= SPAN_TOL:
             return False
         r = self._project_out(r / nr)
         self.rows[self.count] = r / np.linalg.norm(r)
@@ -114,18 +113,13 @@ class ClosureReport:
         }
 
 
-def closure(
-    generators: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
-    max_dim: int | None = None,
-) -> ClosureReport:
+def closure(generators: Sequence[np.ndarray]) -> ClosureReport:
     """Smallest matrix Lie algebra containing the generators.
 
     Seeds the span with the (normalized) generators, then repeatedly
     commutates every basis element against the newest ones, projecting out
-    the current span and keeping any residual direction above ``tol``.
-    Terminates when a generation adds nothing or the dimension reaches
-    ``min(max_dim, n^2)``.
+    the current span and keeping any residual direction above ``SPAN_TOL``.
+    Terminates when a generation adds nothing or the span is all of gl(n).
     """
     if len(generators) == 0:
         raise ValueError("need at least one generator")
@@ -134,50 +128,33 @@ def closure(
     for g in mats:
         if g.shape != (n, n):
             raise ValueError("all generators must share one square shape")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cap = n * n if max_dim is None else min(int(max_dim), n * n)
 
     notes: list[str] = []
-    span = _Span(n * n, tol)
+    span = _Span(n * n)
     for i, g in enumerate(mats):
         norm = np.linalg.norm(g)
         if norm == 0.0 or not span.try_add(g / norm):
             notes.append(f"generator {i} dropped: numerically dependent on the others")
 
-    basis_mats = span.matrices(n)
-    frontier = list(basis_mats)
+    frontier = list(span.matrices(n))
     generations = 0
-    cap_reached = len(span) >= cap
-    while frontier and len(span) < cap:
+    while frontier and len(span) < n * n:
         generations += 1
         new: list[np.ndarray] = []
-        current = span.matrices(n)
-        for a in current:
+        for a in span.matrices(n):
             for f in frontier:
-                if len(span) >= cap:
-                    break
                 # [f, a] = -[a, f] exactly, so one order spans both.
                 if span.try_add(commutator(a, f)):
                     new.append(span.matrices(n)[-1])
         frontier = new
-        if len(span) >= cap:
-            cap_reached = True
-            break
 
     basis_mats = span.matrices(n)
     dimension = len(basis_mats)
-    if dimension >= n * n:
-        # The span is all of gl(n): closure holds trivially.
-        closed = True
-    elif cap_reached:
-        closed = False
-        notes.append(f"dimension cap {cap} reached before closure was confirmed")
-    else:
-        closed = _closure_residual(basis_mats, tol) <= tol
-
+    cap_reached = dimension == n * n
+    # All of gl(n) is closed trivially.
+    closed = cap_reached or _closure_residual(basis_mats) <= SPAN_TOL
     if closed:
-        solvable, dims = is_solvable(basis_mats, tol)
+        solvable, dims = is_solvable(basis_mats)
     else:
         solvable, dims = False, (dimension,)
     return ClosureReport(
@@ -192,8 +169,8 @@ def closure(
     )
 
 
-def _closure_residual(basis: Sequence[np.ndarray], tol: float) -> float:
-    span = _Span(basis[0].size, tol)
+def _closure_residual(basis: Sequence[np.ndarray]) -> float:
+    span = _Span(basis[0].size)
     for m in basis:
         span.try_add(m / np.linalg.norm(m))
     worst = 0.0
@@ -208,15 +185,15 @@ def _closure_residual(basis: Sequence[np.ndarray], tol: float) -> float:
     return worst
 
 
-def _derived_span(basis: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
+def _derived_span(basis: Sequence[np.ndarray]) -> list[np.ndarray]:
     n = basis[0].shape[0]
     # [h, h] lies inside h exactly, so each commutator is projected onto h
     # first: its rounding error outside h must not count as a dimension.
-    outer = _Span(n * n, tol)
+    outer = _Span(n * n)
     for m in basis:
         outer.try_add(m)
     Q = outer.rows[: outer.count]
-    span = _Span(n * n, tol)
+    span = _Span(n * n)
     for i, a in enumerate(basis):
         for b in basis[i + 1 :]:
             c = (Q @ commutator(a, b).reshape(-1)) @ Q
@@ -226,9 +203,7 @@ def _derived_span(basis: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
     return span.matrices(n)
 
 
-def is_solvable(
-    basis: Sequence[np.ndarray], tol: float = DEFAULT_TOL
-) -> tuple[bool, tuple[int, ...]]:
+def is_solvable(basis: Sequence[np.ndarray]) -> tuple[bool, tuple[int, ...]]:
     """Decide solvability of the algebra spanned by ``basis``.
 
     Computes the derived series g >= [g,g] >= [[g,g],[g,g]] >= ... with the
@@ -244,13 +219,13 @@ def is_solvable(
     basis = [np.asarray(m, float) for m in basis]
     if not basis:
         return True, (0,)
-    if _closure_residual(basis, tol) > tol:
+    if _closure_residual(basis) > SPAN_TOL:
         raise ValueError("not closed: commutators leave the span of the basis")
 
     dims = [len(basis)]
     current = list(basis)
     while True:
-        derived = _derived_span(current, tol)
+        derived = _derived_span(current)
         dims.append(len(derived))
         if len(derived) == 0:
             return True, tuple(dims)
@@ -283,9 +258,7 @@ def build_generators(model: "ModelSpec") -> tuple[np.ndarray, np.ndarray]:
     return T1, T2
 
 
-def spans_equal(
-    basis_a: Sequence[np.ndarray], basis_b: Sequence[np.ndarray], tol: float = DEFAULT_TOL
-) -> bool:
+def spans_equal(basis_a: Sequence[np.ndarray], basis_b: Sequence[np.ndarray]) -> bool:
     """True iff both bases span the same subspace (mutual projection residuals)."""
     a = [np.asarray(m, float) for m in basis_a]
     b = [np.asarray(m, float) for m in basis_b]
@@ -297,12 +270,12 @@ def spans_equal(
             return True
         if not ys:
             return False
-        span = _Span(xs[0].size, tol)
+        span = _Span(xs[0].size)
         for m in ys:
             span.try_add(m / np.linalg.norm(m))
         for m in xs:
             _, r = span.residual(m / np.linalg.norm(m))
-            if r > tol:
+            if r > SPAN_TOL:
                 return False
         return True
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,9 @@ __all__ = [
     "default_max_time",
 ]
 
+#: Paths per block; each block draws from its own counter-derived child seed.
+BLOCK_SIZE = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
@@ -56,7 +59,6 @@ class SimConfig:
     max_time: float | None = None
     flow_tolerance: float = 1e-10
     kill_mode: str = "weight"
-    block_size: int = 8192
 
     def __post_init__(self):
         require_finite(
@@ -67,8 +69,6 @@ class SimConfig:
         )
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.max_time is not None and self.max_time <= 0:
@@ -297,51 +297,60 @@ def _run_block(
     flow_tol: float,
     collect_overshoots: bool,
 ):
-    """Simulate one block of paths; returns weights, counts, overshoots."""
+    """Simulate one block of paths; returns weights, counts, overshoots.
+
+    Killing is a weight e^{-q tau} in ``"weight"`` mode; in ``"horizon"``
+    mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
+    stopped by its kill time counts as killed.
+    """
     drift = model.drift
     lam = model.jump_rate
     q = model.kill_rate
+    q_w = q if kill_mode == "weight" else 0.0
     xi = problem.overshoot_xi
     down = model.jump_direction == "downward"
     l, L = problem.lower, problem.upper_value
     want_ruin = problem.estimand == "ruin_below"
+    draw_kills = kill_mode == "horizon" and q > 0
 
-    # Tabulated drifts keep the per-path engine for now: perfbench's traced
-    # run counts their simulate_path calls (ROADMAP item 2).
-    if drift.kind == "tabulated":
-        return _run_block_scalar(
-            model, problem, x0, n, rng, horizon, kill_mode, flow_tol, collect_overshoots
-        )
-
-    if kill_mode == "horizon" and q > 0:
-        horizons = np.minimum(rng.exponential(1.0 / q, n), horizon)
-        killed_possible = horizons < horizon
-    else:
-        horizons = np.full(n, horizon)
-        killed_possible = np.zeros(n, dtype=bool)
-
-    x = np.full(n, float(x0))
-    t = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     weights = np.zeros(n)
     counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
-    overshoots: list[np.ndarray] = []
+    overshoots = [np.empty(0)]
 
     def finish(idx, kind, tau, overshoot):
+        """Settle finished paths: the one rule for the estimand's weight."""
         alive[idx] = False
         counts[kind] += idx.size
         if kind == "ruined" and want_ruin:
-            if kill_mode == "weight":
-                w = np.exp(-q * tau - xi * overshoot) if xi > 0 else np.exp(-q * tau)
-            else:
-                w = np.exp(-xi * overshoot) if xi > 0 else np.ones(idx.size)
-            weights[idx] = w
+            weights[idx] = np.exp(-q_w * tau - xi * overshoot)
         elif kind == "escaped" and not want_ruin:
-            weights[idx] = np.exp(-q * tau) if kill_mode == "weight" else 1.0
+            weights[idx] = np.exp(-q_w * tau)
         if kind == "ruined" and collect_overshoots:
             jump_hits = overshoot > 0
             if np.any(jump_hits):
                 overshoots.append(overshoot[jump_hits])
+
+    # Tabulated drifts keep the per-path engine for now: perfbench's traced
+    # run counts their simulate_path calls (ROADMAP item 2).
+    if drift.kind == "tabulated":
+        cfg = SimConfig(model=model, problem=problem, x0=x0, n_paths=n, seed=0,
+                        max_time=horizon, flow_tolerance=flow_tol)
+        for i in range(n):
+            eq = rng.exponential(1.0 / q) if draw_kills else math.inf
+            out = simulate_path(cfg if eq >= horizon else replace(cfg, max_time=eq), rng)
+            kind = "killed" if out.kind == "censored" and eq < horizon else out.kind
+            finish(np.array([i]), kind, np.array([out.tau]), np.array([out.overshoot]))
+        return weights, counts, np.concatenate(overshoots)
+
+    if draw_kills:
+        horizons = np.minimum(rng.exponential(1.0 / q, n), horizon)
+    else:
+        horizons = np.full(n, horizon)
+    killed_possible = horizons < horizon
+
+    x = np.full(n, float(x0))
+    t = np.zeros(n)
 
     max_rounds = 100_000_000 // max(n, 1) + 1000
     for _ in range(max_rounds):
@@ -407,45 +416,7 @@ def _run_block(
     else:
         raise RuntimeError("batch engine exceeded its round budget")
 
-    osh = np.concatenate(overshoots) if overshoots else np.empty(0)
-    return weights, counts, osh
-
-
-def _run_block_scalar(
-    model, problem, x0, n, rng, horizon, kill_mode, flow_tol, collect_overshoots
-):
-    q = model.kill_rate
-    xi = problem.overshoot_xi
-    want_ruin = problem.estimand == "ruin_below"
-    cfg = SimConfig(
-        model=model,
-        problem=problem,
-        x0=x0,
-        n_paths=n,
-        seed=0,
-        max_time=horizon,
-        flow_tolerance=flow_tol,
-    )
-    weights = np.zeros(n)
-    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
-    overshoots = []
-    for i in range(n):
-        eq = rng.exponential(1.0 / q) if (kill_mode == "horizon" and q > 0) else math.inf
-        out = simulate_path(cfg, rng)
-        kind = out.kind
-        if kind in ("ruined", "escaped") and out.tau >= eq:
-            kind = "killed"
-        elif kind == "censored" and eq < horizon:
-            kind = "killed"
-        counts[kind] += 1
-        if kind == "ruined" and want_ruin:
-            w = math.exp(-xi * out.overshoot) if xi > 0 else 1.0
-            weights[i] = w * (math.exp(-q * out.tau) if kill_mode == "weight" else 1.0)
-        elif kind == "escaped" and not want_ruin:
-            weights[i] = math.exp(-q * out.tau) if kill_mode == "weight" else 1.0
-        if kind == "ruined" and collect_overshoots and out.overshoot > 0:
-            overshoots.append(out.overshoot)
-    return weights, counts, np.asarray(overshoots)
+    return weights, counts, np.concatenate(overshoots)
 
 
 def _merge_moments(a, b):
@@ -470,10 +441,8 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     samples of jump-triggered ruins in the ``overshoots`` field.
     """
     horizon = cfg.resolved_max_time()
-    n_blocks = (cfg.n_paths + cfg.block_size - 1) // cfg.block_size
-    sizes = [
-        min(cfg.block_size, cfg.n_paths - i * cfg.block_size) for i in range(n_blocks)
-    ]
+    n_blocks = (cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
+    sizes = [min(BLOCK_SIZE, cfg.n_paths - i * BLOCK_SIZE) for i in range(n_blocks)]
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
 
     moments = (0, 0.0, 0.0)

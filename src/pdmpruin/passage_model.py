@@ -226,17 +226,22 @@ class TabulatedDrift:
 
     @cached_property
     def _spline(self):
+        """The interpolant; ``_spline(x, 1)`` is its derivative."""
         xs, vs = np.asarray(self.x), np.asarray(self.values)
         if self.interpolation == "cubic":
             from scipy.interpolate import CubicSpline
 
             return CubicSpline(xs, vs)
+        slopes = np.diff(vs) / np.diff(xs)
 
-        def linear(x):
+        def linear(x, nu=0):
             # np.interp would clamp; a linear table never extrapolates.
             if np.any((x < xs[0]) | (x > xs[-1])):
                 raise ValueError("tabulated drift evaluated outside its table range")
-            return np.interp(x, xs, vs)
+            if nu == 0:
+                return np.interp(x, xs, vs)
+            # The right-hand segment's slope at a knot, the last one at the end.
+            return slopes[np.minimum(np.searchsorted(xs, x, side="right"), slopes.size) - 1]
 
         return linear
 
@@ -248,27 +253,18 @@ class TabulatedDrift:
         return (self.x[0], self.x[-1])
 
     def phi(self, x):
+        return self._evaluate(x, 0)
+
+    def dphi(self, x):
+        """The interpolant's own derivative."""
+        return self._evaluate(x, 1)
+
+    def _evaluate(self, x, nu):
         arr = np.asarray(x, float)
         lo, hi = self.table_range
         if np.any(arr < lo) or np.any(arr > hi):
             raise ValueError("tabulated drift evaluated outside its table range")
-        val = self._interp(arr)
-        return val if arr.ndim else float(val)
-
-    def dphi(self, x):
-        # 4th-order central differences; the log-derivative tests downstream
-        # are sensitive, so the step is tied to the table span.
-        arr = np.asarray(x, float)
-        lo, hi = self.table_range
-        h0 = (hi - lo) / 4096.0
-        h = np.minimum(h0, np.minimum((arr - lo) / 2.01, (hi - arr) / 2.01))
-        h = np.maximum(h, 1e-12)
-        val = (
-            -self._interp(arr + 2 * h)
-            + 8.0 * self._interp(arr + h)
-            - 8.0 * self._interp(arr - h)
-            + self._interp(arr - 2 * h)
-        ) / (12.0 * h)
+        val = np.asarray(self._spline(arr, nu), float)
         return val if arr.ndim else float(val)
 
     @cached_property
@@ -632,7 +628,12 @@ def constant_drift_solution(model: ModelSpec, x) -> tuple[np.ndarray, np.ndarray
     return psi, m
 
 
-def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
+# Largest accepted bound on the truncated tail of the zero-kill normalization
+# integral, relative to max(integral, 1).
+QUAD_TOL = 1e-10
+
+
+def _segerdahl_q0_full(model: ModelSpec, x):
     """Zero-kill quadrature solution with analytic derivatives.
 
     Returns (psi, m, dpsi, dm, psi0).  Normalized by decay at the upper end
@@ -692,7 +693,7 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
         sols.append(sol)
         J_c, F_c = sol.y[:, -1]
         rem_bound = math.exp(-mu * xc + J_c) / delta
-        if rem_bound <= quad_tol * max(F_c, 1.0):
+        if rem_bound <= QUAD_TOL * max(F_c, 1.0):
             break
         start, y0 = xc, [J_c, F_c]
         xc *= 2.0
@@ -729,14 +730,14 @@ def _segerdahl_q0_full(model: ModelSpec, x, quad_tol: float = 1e-10):
     return psi, m, dpsi, dm, psi0
 
 
-def segerdahl_q0_solution(model: ModelSpec, x, quad_tol: float = 1e-10):
+def segerdahl_q0_solution(model: ModelSpec, x):
     """Closed form for kill rate zero and general one-phase drift.
 
     Psi and M are built from Z(x) = -mu x + int_0^x lam/phi, normalized so
     that M(0) = 1 and both components vanish at infinity.  Errors out when
     the normalization integral of e^Z diverges (Z not tending to -inf).
     """
-    psi, m, _, _, _ = _segerdahl_q0_full(model, x, quad_tol)
+    psi, m, _, _, _ = _segerdahl_q0_full(model, x)
     scalar = np.ndim(x) == 0
     return (float(psi[0]), float(m[0])) if scalar else (psi, m)
 

@@ -191,14 +191,18 @@ def chebyshev_grid(lo: float, hi: float, n: int = 256) -> np.ndarray:
     return np.sort(lo + (hi - lo) * (nodes + 1.0) / 2.0)
 
 
-def allen_stein_test(
-    coeffs: RiccatiCoefficients, grid, rtol: float = 1e-8
-) -> AllenSteinResult:
+# Largest spread of T(x) over the gate grid, relative to max(1, |T|), that
+# :func:`allen_stein_test` accepts as constant.
+ALLEN_STEIN_RTOL = 1e-8
+
+
+def allen_stein_test(coeffs: RiccatiCoefficients, grid) -> AllenSteinResult:
     """Decide whether the ratio equation admits the scaling transformation.
 
-    Computes T(x) on the grid and accepts iff it is constant to ``rtol``
-    (relative to max(1, |T|)).  On success the returned parameters use the
-    normalization c0 = 1, |c2| = 1 with c2 carrying the sign of b0 b2.
+    Computes T(x) on the grid and accepts iff it is constant to
+    ``ALLEN_STEIN_RTOL`` (relative to max(1, |T|)).  On success the returned
+    parameters use the normalization c0 = 1, |c2| = 1 with c2 carrying the
+    sign of b0 b2.
     On failure the witness is the grid point of maximal deviation.
     """
     x = np.asarray(grid, float)
@@ -220,7 +224,7 @@ def allen_stein_test(
     t_ref = float(np.median(T))
     dev = np.abs(T - t_ref)
     spread = float(dev.max())
-    if spread > rtol * max(1.0, abs(t_ref)):
+    if spread > ALLEN_STEIN_RTOL * max(1.0, abs(t_ref)):
         return AllenSteinResult(
             False, None, t_ref, spread, witness_x=float(x[int(np.argmax(dev))])
         )
@@ -376,10 +380,9 @@ def asymptotic_rate(lam: float, q: float, mu: float) -> float:
 class RiccatiBlowUpError(NumericalError):
     """The Riccati solution reached a pole inside the integration range."""
 
-    def __init__(self, x_pole: float, threshold: float):
+    def __init__(self, x_pole: float):
         super().__init__(f"Riccati blow-up detected near x = {x_pole:.12g}")
         self.x_pole = x_pole
-        self.threshold = threshold
 
 
 @dataclass(eq=False)
@@ -401,18 +404,20 @@ class RiccatiSolution:
         return vals if np.ndim(xs) else float(vals[0])
 
 
+# Tolerances of :func:`riccati_numeric`: relative and absolute ones of the
+# integration, and the |eta| past which the solution counts as blown up.
+RICCATI_RTOL = 1e-10
+RICCATI_ATOL = 1e-12
+RICCATI_BLOWUP = 1e8
+
+
 def riccati_numeric(
-    coeffs: RiccatiCoefficients,
-    eta0: float,
-    x_range: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    blowup_threshold: float = 1e8,
+    coeffs: RiccatiCoefficients, eta0: float, x_range: tuple[float, float]
 ) -> RiccatiSolution:
     """Adaptive integration of the ratio equation with blow-up detection.
 
     Raises :class:`RiccatiBlowUpError` with the pole location when the
-    solution escapes past ``blowup_threshold`` inside the range.
+    solution escapes past ``RICCATI_BLOWUP`` inside the range.
     """
     from scipy.integrate import solve_ivp
 
@@ -423,7 +428,7 @@ def riccati_numeric(
         return [coeffs.b0(x) + coeffs.b1(x) * e + coeffs.b2(x) * e * e, e]
 
     def escape(x, y):
-        return abs(y[0]) - blowup_threshold
+        return abs(y[0]) - RICCATI_BLOWUP
 
     escape.terminal = True
     escape.direction = 1
@@ -433,13 +438,13 @@ def riccati_numeric(
         (x0, x1),
         [float(eta0), 0.0],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=RICCATI_RTOL,
+        atol=RICCATI_ATOL,
         dense_output=True,
         events=[escape],
     )
     if sol.status == 1 and sol.t_events[0].size:
-        raise RiccatiBlowUpError(float(sol.t_events[0][0]), blowup_threshold)
+        raise RiccatiBlowUpError(float(sol.t_events[0][0]))
     if not sol.success:
         raise NumericalError(f"Riccati integration failed: {sol.message}")
     return RiccatiSolution(x=sol.t, eta_values=sol.y[0], _dense=sol.sol, x_start=x0)

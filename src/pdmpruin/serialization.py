@@ -79,19 +79,30 @@ class RunConfig:
         missing = [k for k in ("x0", "n_paths", "seed") if sim.get(k) is None]
         if missing:
             raise ConfigError(f"missing simulation fields: {missing}", "$.sim")
+        n_paths = _integer(sim["n_paths"], "$.sim.n_paths")
+        seed = _integer(sim["seed"], "$.sim.seed")
         try:
             return SimConfig(
                 model=self.model,
                 problem=self.problem,
                 x0=float(sim["x0"]),
-                n_paths=int(sim["n_paths"]),
-                seed=int(sim["seed"]),
+                n_paths=n_paths,
+                seed=seed,
                 max_time=None if sim.get("max_time") is None else float(sim["max_time"]),
                 flow_tolerance=float(sim.get("flow_tolerance", 1e-10)),
                 kill_mode=sim.get("kill_mode", "weight"),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), "$.sim") from exc
+
+
+def _integer(value, path: str) -> int:
+    """An integral number as an int: 7 and 1e5 pass; True, 1.9 and "7" do not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"must be an integer, got {value!r}", path)
+    return int(value)
 
 
 _TOP_LEVEL = {"schema_version", "model", "problem", "grid", "sim", "output"}

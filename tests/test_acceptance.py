@@ -124,7 +124,7 @@ def test_criterion_3_integrability_gate():
         q = float(rng.uniform(0.0, 2.0))
         mu = float(rng.uniform(0.2, 3.0))
         m = ModelSpec(SegerdahlDrift(K, lam, q, mu), lam, q, exponential(mu))
-        res = allen_stein_test(to_riccati(m), chebyshev_grid(0.0, 6.0 / mu), rtol=1e-8)
+        res = allen_stein_test(to_riccati(m), chebyshev_grid(0.0, 6.0 / mu))
         assert res.integrable, (K, lam, q, mu)
         assert abs(res.params.c1) <= 1e-8
         worst = max(worst, res.t_spread, abs(res.params.c1))
@@ -135,7 +135,7 @@ def test_criterion_3_integrability_gate():
         tuple(xs), tuple(base.phi(xs) + 0.01 * np.sin(xs)), sign_domain=(0.0, 7.0)
     )
     mp = ModelSpec(perturbed, FIG1["lam"], FIG1["q"], exponential(FIG1["mu"]))
-    res_p = allen_stein_test(to_riccati(mp), chebyshev_grid(0.5, 5.0), rtol=1e-8)
+    res_p = allen_stein_test(to_riccati(mp), chebyshev_grid(0.5, 5.0))
     assert not res_p.integrable
     report(3, f"100-case sweep worst deviation {worst:.2e}; perturbed drift rejected")
 

@@ -359,6 +359,27 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "field, value", [("seed", "abc"), ("seed", 1.9), ("seed", True), ("n_paths", 2.5)]
+    )
+    def test_non_integer_seed_or_path_count_is_config_error(
+        self, tmp_path, monkeypatch, capsys, subcommand, field, value
+    ):
+        # compare used to run every solver first and exit 2 on "abc", and a
+        # seed of 1.9 silently ran as 1
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, with_value(CONST_CONFIG, ("sim", field), value))
+        assert main([subcommand, "--config", "cfg.json", "--output", "out"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: $.sim.{field}: must be an integer")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integral_float_path_count_is_accepted(self):
+        rc = parse_config(with_value(CONST_CONFIG, ("sim", "n_paths"), 1e5))
+        assert rc.sim_config().n_paths == 100000
+
     def test_exit_above_compare_skips_the_ratio_oracle(self, tmp_path):
         cfg = json.loads(json.dumps(CONST_CONFIG))
         cfg["problem"] = {"lower": 0.0, "upper": 2.0, "estimand": "exit_above"}

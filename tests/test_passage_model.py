@@ -123,9 +123,11 @@ class TestDrifts:
         for outside in (xs[0] - 0.1, xs[-1] + 0.1, np.array([xs[1], xs[-1] + 1e-9])):
             with pytest.raises(ValueError, match="outside its table range"):
                 d.phi(outside)
-        # The derivative stencil at a table end reaches past it: refused, not clamped.
+        # The derivative is the segment slope, the last one at the table end;
+        # past the end it is refused, as phi is.
+        assert d.dphi(xs[-1]) == (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
         with pytest.raises(ValueError, match="outside its table range"):
-            d.dphi(xs[-1])
+            d.dphi(xs[-1] + 0.1)
 
     def test_drift_serialization_round_trip(self):
         for d in (ConstantDrift(1.5), SegerdahlDrift(**FIG1),
