@@ -19,6 +19,7 @@ deterministic for a given (seed, n_paths).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -27,7 +28,10 @@ import numpy as np
 from .passage_model import (
     DriftSpec,
     ModelSpec,
+    NumericalError,
     PassageProblem,
+    _decay_certificate,
+    assemble_system,
     require_finite,
 )
 from .phase_type import sample as ph_sample
@@ -45,6 +49,14 @@ __all__ = [
 
 #: Paths per block; each block draws from its own counter-derived child seed.
 BLOCK_SIZE = 8192
+
+#: Largest weight a censored path may lose: the default horizon of a killed
+#: model is where e^{-qT} reaches EPS, and a zero-kill path that reaches the
+#: Lundberg level has a remaining ruin chance of at most EPS.
+EPS = 1e-16
+
+#: Path-rounds one block may take before the engine gives up.
+ROUND_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +79,10 @@ class SimConfig:
             max_time=self.max_time,
             flow_tolerance=self.flow_tolerance,
         )
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.seed < 0:
@@ -109,8 +125,10 @@ class PassageEstimate:
     """Monte Carlo estimate with its standard error and path accounting.
 
     Censored paths contribute 0 to the estimand where each could have
-    added at most ``censored_weight_bound``: e^{-q T} at horizon T when
-    killing is a weight, 1 under an explicit kill horizon.  The estimate
+    added at most ``censored_weight_bound``, the largest of the bounds of
+    the reasons that stopped one: e^{-q T} at horizon T when killing is a
+    weight, 1 under an explicit kill horizon, and :data:`EPS` at the
+    Lundberg level of a zero-kill constant-drift ruin problem.  The estimate
     is therefore negatively biased by at most ``censoring_bias_bound`` =
     ``censored_fraction * censored_weight_bound``.  ``n_killed`` is only
     populated in the explicit-horizon kill mode.  ``overshoots`` holds the
@@ -196,7 +214,11 @@ def _flow_segment_numeric(
 
 
 def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> float:
-    """50 x the deterministic crossing-time scale of the posed problem."""
+    """50 x the deterministic crossing-time scale of the posed problem.
+
+    With killing, capped where e^{-qT} reaches :data:`EPS`: a path still
+    running there can add at most EPS to the estimate.
+    """
     drift = model.drift
     l = problem.lower
     mean_jump = model.jumps.mean()
@@ -209,7 +231,36 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
         ph = abs(drift.phi(x0))
         ph = max(ph, abs(drift.phi(l)), 1e-6)
         scale = (x0 - l + 10.0 * mean_jump) / ph
-    return 50.0 * max(scale, 1.0 / lam)
+    t_max = 50.0 * max(scale, 1.0 / lam)
+    q = model.kill_rate
+    return min(t_max, math.log(1.0 / EPS) / q) if q > 0 else t_max
+
+
+def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
+    """Level past which a path's remaining ruin probability is below :data:`EPS`.
+
+    For constant drift c > 0 with downward jumps and no killing, Lundberg's
+    inequality psi(u) <= e^{-R u} holds for any jump law, with R the
+    adjustment coefficient: the slowest decay rate of the constant system
+    matrix.  The level is ``lower + ln(1/EPS)/R``.  Every other posed
+    problem, and a model without net profit (c <= lam E[C], where ruin is
+    certain), gets +inf: no level.
+    """
+    drift = model.drift
+    if not (
+        drift.kind == "constant"
+        and drift.c > model.jump_rate * model.jumps.mean()
+        and model.kill_rate == 0
+        and model.jump_direction == "downward"
+        and problem.estimand == "ruin_below"
+        and problem.upper is None
+    ):
+        return math.inf
+    try:
+        _, rate = _decay_certificate(assemble_system(model)(problem.lower))
+    except NumericalError:  # R too small to resolve: no level
+        return math.inf
+    return problem.lower + math.log(1.0 / EPS) / -rate
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +344,7 @@ def _run_block(
     n: int,
     rng: np.random.Generator,
     horizon: float,
+    level: float,
     kill_mode: str,
     flow_tol: float,
     collect_overshoots: bool,
@@ -301,7 +353,9 @@ def _run_block(
 
     Killing is a weight e^{-q tau} in ``"weight"`` mode; in ``"horizon"``
     mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
-    stopped by its kill time counts as killed.
+    stopped by its kill time counts as killed.  A path at or above
+    ``level`` stops as censored, and ``counts["at_level"]`` says how many
+    of the censored paths stopped there rather than at the horizon.
     """
     drift = model.drift
     lam = model.jump_rate
@@ -315,7 +369,7 @@ def _run_block(
 
     alive = np.ones(n, dtype=bool)
     weights = np.zeros(n)
-    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
+    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0, "at_level": 0}
     overshoots = [np.empty(0)]
 
     def finish(idx, kind, tau, overshoot):
@@ -352,9 +406,15 @@ def _run_block(
     x = np.full(n, float(x0))
     t = np.zeros(n)
 
-    max_rounds = 100_000_000 // max(n, 1) + 1000
+    max_rounds = ROUND_BUDGET // max(n, 1) + 1000
     for _ in range(max_rounds):
         idx = np.flatnonzero(alive)
+        far = x[idx] >= level
+        if np.any(far):
+            f_idx = idx[far]
+            counts["at_level"] += f_idx.size
+            finish(f_idx, "censored", t[f_idx], np.zeros(f_idx.size))
+            idx = idx[~far]
         if idx.size == 0:
             break
         xi_cur = x[idx]
@@ -414,7 +474,7 @@ def _run_block(
         x[g_idx[keep]] = x_new[keep]
         t[g_idx[keep]] = t_new[keep]
     else:
-        raise RuntimeError("batch engine exceeded its round budget")
+        raise NumericalError("batch engine exceeded its round budget")
 
     return weights, counts, np.concatenate(overshoots)
 
@@ -441,12 +501,13 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     samples of jump-triggered ruins in the ``overshoots`` field.
     """
     horizon = cfg.resolved_max_time()
+    level = _lundberg_level(cfg.model, cfg.problem)
     n_blocks = (cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, cfg.n_paths - i * BLOCK_SIZE) for i in range(n_blocks)]
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
 
     moments = (0, 0.0, 0.0)
-    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0}
+    counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0, "at_level": 0}
     overshoots = []
     for child, size in zip(children, sizes):  # merged in block order: deterministic
         weights, cts, osh = _run_block(
@@ -456,6 +517,7 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
             size,
             np.random.default_rng(child),
             horizon,
+            level,
             cfg.kill_mode,
             cfg.flow_tolerance,
             collect_jump_overshoots,
@@ -476,7 +538,17 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     else:
         target = "two_sided_exit_above"
     all_censored = counts["censored"] == cfg.n_paths
-    if all_censored:
+    # A censored path lost at most horizon_bound at the horizon, EPS at the level.
+    horizon_bound = (
+        math.exp(-cfg.model.kill_rate * horizon) if cfg.kill_mode == "weight" else 1.0
+    )
+    at_horizon = counts["censored"] > counts["at_level"]
+    bounds = []
+    if at_horizon:
+        bounds.append(horizon_bound)
+    if counts["at_level"]:
+        bounds.append(EPS)
+    if all_censored and at_horizon:
         warnings.warn(
             "all paths were censored: max_time is too small for this model",
             UserWarning,
@@ -492,8 +564,6 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
         n_killed=counts["killed"],
         target=target,
         all_censored=all_censored,
-        censored_weight_bound=(
-            math.exp(-cfg.model.kill_rate * horizon) if cfg.kill_mode == "weight" else 1.0
-        ),
+        censored_weight_bound=max(bounds, default=horizon_bound),
         overshoots=np.concatenate(overshoots) if collect_jump_overshoots else None,
     )

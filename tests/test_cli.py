@@ -376,6 +376,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_round_budget_exhaustion_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # upward jumps and positive drift never reach the lower level, and
+        # no Lundberg level stops them: every path runs to the horizon
+        monkeypatch.setattr("pdmpruin.mc_sim.ROUND_BUDGET", 1000)
+        cfg = with_value(CONST_CONFIG, ("model", "jump_direction"), "upward")
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--paths", "100",
+                "--max-time", "1e5"]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: batch engine exceeded its round budget\n"
+
     def test_integral_float_path_count_is_accepted(self):
         rc = parse_config(with_value(CONST_CONFIG, ("sim", "n_paths"), 1e5))
         assert rc.sim_config().n_paths == 100000
@@ -587,7 +599,7 @@ class TestScipyStaysUnloaded:
         "config, steps",
         [
             (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"]]),
-            (CONST_CONFIG, [["solve"]]),
+            (CONST_CONFIG, [["solve"], ["simulate", "--paths", "2000"]]),
         ],
         ids=["relaxing", "constant"],
     )

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from pdmpruin.mc_sim import (
+    EPS,
     PassageEstimate,
     SimConfig,
     crossing_time,
@@ -21,13 +22,17 @@ from pdmpruin.passage_model import (
     PassageProblem,
     SegerdahlDrift,
     TabulatedDrift,
+    _decay_certificate,
+    assemble_system,
     constant_drift_solution,
     solve_bvp,
 )
-from pdmpruin.phase_type import exponential, tail
+from pdmpruin.phase_type import PhaseType, exponential, tail
 from pdmpruin.riccati import phi_k_closed_form
 
 FIG1 = dict(K=0.75, lam=0.5, q=0.5, mu=1.5)
+ERLANG3 = PhaseType([1.0, 0.0, 0.0], [[-3.0, 3.0, 0.0], [0.0, -3.0, 3.0], [0.0, 0.0, -3.0]])
+COXIAN3 = PhaseType([1.0, 0.0, 0.0], [[-3.0, 2.1, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 def fig1_model():
@@ -354,13 +359,83 @@ class TestEstimate:
         with pytest.raises(ValueError, match="seed"):
             ruin_cfg(m, x0=1.0, n=10, seed=-1)
 
+    @pytest.mark.parametrize(
+        "n, seed", [(2.5, 0), (10.0, 0), (True, 0), (10, 1.9), (10, False), (10, "3")]
+    )
+    def test_path_count_and_seed_must_be_integers(self, n, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ruin_cfg(const_model(), x0=1.0, n=n, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        est = estimate(ruin_cfg(const_model(), x0=1.0, n=np.int64(50), seed=np.uint32(3)))
+        assert est.n_paths == 50
+
     def test_default_max_time_scales(self):
         m = fig1_model()
-        t = default_max_time(m, PassageProblem(lower=0.0), 2.0)
         t_flow = crossing_time(m.drift, 2.0, 0.0, "below")
-        assert t >= 50.0 * t_flow
+        unkilled = ModelSpec(m.drift, m.jump_rate, 0.0, m.jumps)
+        assert default_max_time(unkilled, PassageProblem(lower=0.0), 2.0) >= 50.0 * t_flow
         m2 = const_model()
         assert default_max_time(m2, PassageProblem(lower=0.0), 0.0) > 0
+        # with killing the default stops where e^{-qT} reaches EPS
+        for model in (m, const_model(q=0.5)):
+            t = default_max_time(model, PassageProblem(lower=0.0), 2.0)
+            assert 0 < t <= math.log(1e16) / model.kill_rate
+
+    def test_killed_paths_stop_where_their_weight_is_below_eps(self):
+        # upward drift, q > 0: censored paths are those that outlived e^{-qT} = EPS
+        est = estimate(ruin_cfg(const_model(q=0.5), x0=1.0, n=2000, seed=2))
+        assert est.n_censored > 0
+        assert est.censored_weight_bound <= 1e-16
+
+
+class TestLundbergLevel:
+    @pytest.mark.parametrize(
+        "lam, jumps", [(1.0, exponential(2.0)), (0.5, ERLANG3), (0.5, COXIAN3)],
+        ids=["exponential", "erlang3", "coxian3"],
+    )
+    def test_decay_rate_is_the_adjustment_coefficient(self, lam, jumps):
+        # lam (E e^{R C} - 1) = c R, with E e^{s C} = beta (-B - s)^{-1} b
+        c = 1.0
+        m = ModelSpec(ConstantDrift(c), lam, 0.0, jumps)
+        R = -_decay_certificate(assemble_system(m)(0.0))[1]
+        mgf = jumps.beta @ np.linalg.solve(-jumps.B - R * np.eye(jumps.n), jumps.b)
+        assert R > 0
+        assert abs(lam * (mgf - 1.0) - c * R) <= 1e-12
+
+    def test_pinned_case_bias_bound(self):
+        # c=1, lam=1, mu=2: psi(x) = 0.5 e^{-x}; without a level 82% of the
+        # paths ran to the horizon, each counted as a possible lost 1
+        x0 = 1.0
+        est = estimate(ruin_cfg(const_model(), x0=x0, n=20000, seed=4))
+        assert est.n_censored > 0
+        assert est.censored_weight_bound == EPS
+        assert est.censoring_bias_bound <= 1e-16
+        assert abs(est.mean - 0.5 * math.exp(-x0)) < 5 * est.std_error
+
+    def test_start_past_the_level_is_censored_at_once(self):
+        est = estimate(ruin_cfg(const_model(), x0=40.0, n=100, seed=0))
+        assert est.n_censored == 100
+        assert est.mean == 0.0
+        assert est.censoring_bias_bound == EPS
+
+    @pytest.mark.parametrize("jumps", [exponential(2.0), ERLANG3], ids=["exponential", "erlang3"])
+    def test_no_net_profit_keeps_the_time_horizon(self, jumps):
+        # c = 0.4 < lam E[C]: ruin is certain and no level may stop a path
+        # (the Erlang-3 system matrix still has decaying modes, the slowest
+        # at rate 4.22, which would put a level below x0)
+        m = ModelSpec(ConstantDrift(0.4), 1.0, 0.0, jumps)
+        est = estimate(ruin_cfg(m, x0=10.0, n=2000, seed=5))
+        assert est.n_censored == 0
+        assert est.mean == 1.0
+
+    def test_unresolved_adjustment_coefficient_keeps_the_time_horizon(self):
+        # net profit by 1e-13: R is below what the eigenvalues resolve, and
+        # _decay_certificate finds no decaying mode; that must not raise here
+        m = ModelSpec(ConstantDrift(0.5 + 1e-13), 1.0, 0.0, exponential(2.0))
+        est = estimate(ruin_cfg(m, x0=1.0, n=200, seed=5, max_time=20.0))
+        assert est.n_censored > 0
+        assert est.censored_weight_bound == 1.0
 
 
 class TestPassageEstimateType:
