@@ -31,6 +31,7 @@ from .passage_model import (
     NumericalError,
     PassageProblem,
     _decay_certificate,
+    _net_profit,
     assemble_system,
     require_finite,
 )
@@ -249,7 +250,7 @@ def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
     drift = model.drift
     if not (
         drift.kind == "constant"
-        and drift.c > model.jump_rate * model.jumps.mean()
+        and _net_profit(model)
         and model.kill_rate == 0
         and model.jump_direction == "downward"
         and problem.estimand == "ruin_below"

@@ -9,7 +9,10 @@ evaluates the closed forms available for one-phase jumps, and provides a
 numerical boundary-value solver usable for any phase dimension: an
 initial-value integration when the drift is negative, and collocation on
 the linear two-point problem, whose boundary conditions alone depend on the
-posed problem, when it is positive.
+posed problem, when it is positive.  Constant positive drift on a one-sided
+ruin problem is solved exactly instead: the system matrix is constant (its
+Lie closure is one-dimensional), so the decaying solution is spanned by the
+n stable eigenvectors, Y(x) = V_s e^{Lambda_s (x-l)} c with M(l) = 1.
 """
 
 from __future__ import annotations
@@ -810,6 +813,69 @@ def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
     return int(stable.sum()), float(w[stable].max())
 
 
+def _net_profit(model: ModelSpec) -> bool:
+    """Whether constant drift c outruns the mean jump outflow: c > lam E[C].
+
+    Without it, and without killing, ruin below is certain.
+    """
+    return model.drift.c > model.jump_rate * model.jumps.mean()
+
+
+def _stable_eigen_solution(Amat: np.ndarray, t: np.ndarray):
+    """Decaying solution of Y' = Amat Y with M(0) = 1, at the offsets ``t >= 0``.
+
+    Y(t) = Re(V_s e^{Lambda_s t} c) from the n decaying eigenpairs of the
+    constant matrix, with V_s[1:] c = 1.  Returns ``(Y, bound, residual)``:
+    Y shaped (n+1, len(t)), a bound on the rounding error of each column,
+    and max |M(0) - 1|.  Returns None when the eigenbasis is too
+    ill-conditioned for that bound to stay below ``BVP_BC_TOL``.
+
+    The computed curve solves Y' = A Y - f exactly, with the forcing
+    f(t) = sum_i r_i c_i e^{lam_i t} made of the eigen-residuals
+    r_i = A v_i - lam_i v_i, and misses M(0) = 1 by the residual of the
+    solve for c.  The bound is the response of the decaying problem to both
+    (its Green's function, split by the spectral projectors V_s W_s and
+    V_u W_u of the computed eigenbasis), plus the rounding of the
+    evaluation; it is first order in the rounding unit.
+    """
+    dim = Amat.shape[0]
+    n = dim - 1
+    w, V = np.linalg.eig(Amat)
+    stable = w.real < -1e-12
+    if stable.sum() != n:
+        raise NumericalError(f"decaying eigenspace has dimension {stable.sum()}, expected {n}")
+    try:
+        W = np.linalg.inv(V)
+        c = np.linalg.solve(V[1:, stable], np.ones(n))
+    except np.linalg.LinAlgError:  # defective: no eigenbasis
+        return None
+    Vs, Vu, ws = V[:, stable], V[:, ~stable], w[stable]
+    modes = np.exp(np.outer(t, ws))  # (len(t), n)
+    Y = (modes @ (Vs * c).T).T.real
+    bres = float(np.abs((Vs[1:] @ c).real - 1.0).max())
+
+    u = np.finfo(float).eps
+    norm = np.linalg.norm
+    v_norms = norm(Vs, axis=0)
+    r = norm(Amat @ Vs - Vs * ws, axis=0) + dim * u * (norm(Amat) + np.abs(ws)) * v_norms
+    forcing = np.abs(c) * r  # |f(t)| <= sum_i forcing_i e^{Re lam_i t}
+    rho = ws.real
+    decay = np.exp(t * rho.max())
+    ahead = forcing / (w.real[~stable].min() - rho)  # the unstable part, integrated to infinity
+    delta = math.sqrt(n) * bres + dim * u * (norm(Vs[1:], 2) * norm(c) + math.sqrt(n))
+    growth = 1.0 + np.abs(ws) * t[:, None]
+    bound = (
+        (dim + 4) * u * (np.abs(modes) * growth) @ (np.abs(c) * v_norms)  # evaluation
+        + norm(Vs, 2) * norm(W[stable], 2) * t * decay * forcing.sum()  # stable response
+        + norm(Vu, 2) * norm(W[~stable], 2) * (np.abs(modes) @ ahead)  # unstable response
+        + norm(Vs, 2) * decay / np.linalg.svd(Vs[1:], compute_uv=False)[-1]
+        * (delta + norm(Vu[1:], 2) * norm(W[~stable], 2) * ahead.sum())  # boundary correction
+    )
+    if not np.all(bound <= BVP_BC_TOL):
+        return None
+    return Y, bound, bres
+
+
 # Tolerances of :func:`solve_bvp`: relative and absolute ones of the solve
 # (collocation takes max(BVP_RTOL, 1e-10) and no absolute one), and the
 # largest boundary residual accepted.
@@ -824,9 +890,21 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     With negative drift and downward jumps ruin from the lower level is
     immediate, so Psi(l) = M(l) = 1 and the system is integrated forward as
     an initial-value problem (a finite upper level changes nothing since it
-    cannot be reached; exit above is impossible).
+    cannot be reached; exit above is impossible).  Upward jumps raise
+    :class:`NumericalError` there: M(l) = 1 does not hold for them.
 
-    With positive drift every problem is the same linear two-point problem
+    With constant positive drift and no upper level the system matrix A is
+    constant, and the one-sided ``ruin_below`` problem is solved exactly
+    from its n decaying eigenpairs: Y(x) = Re(V_s e^{Lambda_s (x-l)} c)
+    with V_s[1:] c = 1 (numpy only, no mesh and no truncation point).  The
+    boundary residual is max |M(l) - 1|, and the error estimate is a
+    pointwise bound on the rounding error of that exact solution, built
+    from the eigen-residuals and the conditioning of the eigenbasis.  At
+    zero kill without net profit (c <= lam E[C]) ruin is certain and
+    Psi = M = 1.  A near-defective A, whose bound would exceed
+    ``BVP_BC_TOL``, goes to collocation below.
+
+    Every other positive-drift problem is the same linear two-point problem
     on [l, x_end], solved by collocation; only the boundary conditions
     differ:
 
@@ -837,9 +915,9 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
       projected out; X_max is pushed far enough that the truncation error
       certificate is below ``BVP_BC_TOL``.
 
-    The boundary residual is the largest violation of the posed conditions,
-    and the error estimate is the discrepancy to a rerun at a looser
-    tolerance.
+    There, and in the initial-value branch, the boundary residual is the
+    largest violation of the posed conditions, and the error estimate is
+    the discrepancy to a rerun at a looser tolerance.
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -858,7 +936,22 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     if phis.max() > 0 and phis.min() < 0:
         raise ValueError("drift changes sign on the problem domain")
 
+    if phis[0] > 0 and model.drift.kind == "constant" and problem.upper is None:
+        if model.kill_rate == 0 and model.jump_direction == "downward" and not _net_profit(model):
+            # Certain ruin: at zero kill A 1 = 0, so Psi = M = 1 is the solution.
+            exact = np.ones((dim, grid.size)), np.zeros(grid.size), 0.0
+        else:
+            exact = _stable_eigen_solution(A(l), grid - l)
+        if exact is not None:
+            Y, err, bres = exact
+            return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, bres)
+
     if phis[0] < 0:
+        if model.jump_direction == "upward":
+            raise NumericalError(
+                "negative drift with upward jumps: M(l) = 1 holds only for downward "
+                "jumps, so the initial-value solve does not apply"
+            )
         if problem.estimand == "exit_above":
             raise ValueError("exit above is impossible with negative drift and downward jumps")
 

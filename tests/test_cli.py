@@ -63,6 +63,13 @@ ERLANG3_JUMPS = {
 }
 
 
+# Constant drift with Erlang-3 jumps and killing: solved from the stable eigenspace.
+ERLANG3_CONST_CONFIG = {
+    **CONST_CONFIG,
+    "model": {**CONST_CONFIG["model"], "kill_rate": 0.5, "jumps": ERLANG3_JUMPS},
+}
+
+
 def _readme_command_lines():
     """The ``pdmpruin ...`` lines of the README's subcommand block, comments cut."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -319,6 +326,27 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--quiet"]) == EXIT_NUMERICAL
         assert "impossible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jumps", [{"beta": [1.0], "B": [[-1.0]]}, ERLANG3_JUMPS],
+                             ids=["exp", "erlang3"])
+    def test_negative_drift_with_upward_jumps_is_numerical_error(self, tmp_path, capsys, jumps):
+        model = {"drift": {"kind": "constant", "c": -1.0}, "jump_rate": 0.5, "kill_rate": 0.5,
+                 "jumps": jumps, "jump_direction": "upward"}
+        path = write_config(tmp_path, dict(CONST_CONFIG, model=model))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert "upward jumps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", [1.0, 0.8], ids=["critical", "below"])
+    def test_zero_kill_without_net_profit_solves_to_certain_ruin(self, tmp_path, capsys, c):
+        # Erlang-3 jumps with mean 1 and jump rate 1: c <= lam E[C].
+        cfg = with_value(CONST_CONFIG, ("model", "jumps"), ERLANG3_JUMPS)
+        path = write_config(tmp_path, with_value(cfg, ("model", "drift", "c"), c))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {tuple(r[1:]) for r in rows} == {("1", "1", "1", "1", "ode_bvp")}
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, case):
@@ -600,8 +628,9 @@ class TestScipyStaysUnloaded:
         [
             (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"]]),
             (CONST_CONFIG, [["solve"], ["simulate", "--paths", "2000"]]),
+            (ERLANG3_CONST_CONFIG, [["solve"]]),
         ],
-        ids=["relaxing", "constant"],
+        ids=["relaxing", "constant", "constant-erlang3"],
     )
     def test_numpy_only_steps(self, tmp_path, config, steps):
         path = write_config(tmp_path, config)

@@ -10,6 +10,7 @@ from pdmpruin.lie_algebra import build_generators
 from pdmpruin.passage_model import (
     ConstantDrift,
     ModelSpec,
+    NumericalError,
     PassageProblem,
     SegerdahlDrift,
     SolutionCurve,
@@ -24,7 +25,8 @@ from pdmpruin.passage_model import (
     solve_bvp,
     _segerdahl_q0_full,
 )
-from pdmpruin.phase_type import erlang, exponential
+from pdmpruin.mc_sim import _lundberg_level
+from pdmpruin.phase_type import PhaseType, coxian, erlang, exponential
 from pdmpruin.riccati import phi_k_closed_form
 
 FIG1 = dict(K=0.75, lam=0.5, q=0.5, mu=1.5)
@@ -48,6 +50,19 @@ def tabulated_fig1_model():
 
 def relaxing_k_half_model():
     return ModelSpec(SegerdahlDrift(0.5, 0.5, 0.5, 1.5), 0.5, 0.5, exponential(1.5))
+
+
+def counted_collocation(monkeypatch):
+    """Install a counting wrapper at the collocation name; returns its call list."""
+    calls = []
+    solver = passage_model._collocation
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(passage_model, "_collocation", counted)
+    return calls
 
 
 class TestDrifts:
@@ -433,16 +448,10 @@ class TestSolveBvp:
 
     def test_positive_drift_goes_through_the_collocation_name(self, monkeypatch):
         # The collocation call is looked up by its module-level name at call
-        # time, so a wrapper installed there sees every multi-phase solve.
-        calls = []
-        solver = passage_model._collocation
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["tol"])
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(passage_model, "_collocation", counted)
-        m = ModelSpec(ConstantDrift(1.0), 1.0, 0.5, erlang(3, 3.0))
+        # time, so a wrapper installed there sees every collocation solve.
+        calls = counted_collocation(monkeypatch)
+        drift = TabulatedDrift((0.0, 100.0), (1.0, 1.5), "linear")
+        m = ModelSpec(drift, 1.0, 0.5, erlang(3, 3.0))
         curve = solve_bvp(m, PassageProblem(lower=0.0), np.linspace(0.0, 5.0, 51))
         assert len(calls) == 2  # the solve and its looser error-estimate rerun
         assert curve.method == "ode_bvp"
@@ -462,6 +471,122 @@ class TestSolveBvp:
         curve = solve_bvp(m, PassageProblem(lower=0.0), grid)
         assert curve.error_estimate is not None
         assert np.max(curve.error_estimate) < 1e-7
+
+
+MULTI_PHASE_LAWS = {
+    "erlang3": erlang(3, 3.0),
+    "coxian3": coxian([3.0, 2.0, 1.0], [0.7, 0.5]),
+    "hyperexp": PhaseType(np.array([0.3, 0.7]), np.diag([-0.5, -4.0])),
+}
+
+
+def high_precision_solution(A, t, digits=40):
+    """Y(t) = Re(V_s e^{Lambda_s t} c) with V_s[1:] c = 1, in ``digits`` digits."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        w, V = mpmath.eig(mpmath.matrix(A.tolist()))
+        stable = [i for i in range(len(w)) if mpmath.re(w[i]) < -mpmath.mpf(10) ** (-digits // 2)]
+        dim = A.shape[0]
+        Vs = mpmath.matrix([[V[r, i] for i in stable] for r in range(dim)])
+        c = mpmath.lu_solve(Vs[1:, :], mpmath.matrix([1] * (dim - 1)))
+        return np.array([
+            [float(mpmath.re(sum(Vs[r, j] * c[j] * mpmath.exp(w[i] * mpmath.mpf(float(x)))
+                                 for j, i in enumerate(stable))))
+             for x in t]
+            for r in range(dim)
+        ])
+
+
+class TestConstantDriftEigenSolution:
+    """One-sided constant drift: the exact solution from the stable eigenspace."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("law", sorted(MULTI_PHASE_LAWS))
+    def test_matches_collocation_on_a_constant_table(self, monkeypatch, law, q):
+        # A linear table with one value everywhere poses the same ODE, but a
+        # tabulated drift takes the collocation route: an independent oracle.
+        jumps = MULTI_PHASE_LAWS[law]
+        grid = np.linspace(0.0, 5.0, 51)
+        calls = counted_collocation(monkeypatch)
+        exact = solve_bvp(ModelSpec(ConstantDrift(1.0), 0.5, q, jumps), PassageProblem(0.0), grid)
+        assert calls == []
+        table = TabulatedDrift((0.0, 300.0), (1.0, 1.0), "linear")
+        colloc = solve_bvp(ModelSpec(table, 0.5, q, jumps), PassageProblem(0.0), grid)
+        assert len(calls) == 2
+        assert exact.method == colloc.method == "ode_bvp"
+        assert_allclose(exact.psi, colloc.psi, rtol=0, atol=1e-9)
+        assert_allclose(exact.m, colloc.m, rtol=0, atol=1e-9)
+        assert abs(exact.m[0] - 1.0).max() <= exact.boundary_residual + 1e-15
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("law", ["erlang3", "coxian3"])
+    def test_error_estimate_bounds_the_true_error(self, law, q):
+        m = ModelSpec(ConstantDrift(1.0), 0.5, q, MULTI_PHASE_LAWS[law])
+        grid = np.linspace(0.0, 5.0, 26)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        want = high_precision_solution(assemble_system(m)(0.0), grid)
+        err = np.abs(np.vstack([curve.psi, curve.m.T]) - want).max(axis=0)
+        assert np.all(err <= curve.error_estimate)
+        assert curve.error_estimate.max() <= 1e-12
+
+    def test_finite_difference_residual(self):
+        m = ModelSpec(ConstantDrift(1.0), 0.5, 0.5, MULTI_PHASE_LAWS["erlang3"])
+        grid = np.linspace(0.0, 5.0, 501)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        _, res = ode_residual(m, grid, curve.psi, curve.m)
+        assert np.max(np.abs(res)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "c, lam, q, mu", [(1.0, 1.0, 0.0, 2.0), (1.0, 1.0, 1.0, 2.0), (1.5, 0.5, 0.3, 1.0),
+                          (0.5, 1.0, 0.0, 2.0), (0.4, 1.0, 0.0, 2.0)],
+    )
+    def test_one_phase_matches_closed_form(self, c, lam, q, mu):
+        m = ModelSpec(ConstantDrift(c), lam, q, exponential(mu))
+        grid = np.linspace(0.0, 5.0, 51)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        psi, mm = constant_drift_solution(m, grid)
+        assert_allclose(curve.psi, psi, rtol=0, atol=1e-14)
+        assert_allclose(curve.m[:, 0], mm, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("c", [1.0, 0.8], ids=["critical", "below"])
+    def test_zero_kill_without_net_profit_is_certain_ruin(self, c):
+        # Erlang-3 with mean 1 and lam = 1: c = lam E[C] is the critical case,
+        # where the zero eigenvalue is defective.
+        m = ModelSpec(ConstantDrift(c), 1.0, 0.0, erlang(3, 3.0))
+        curve = solve_bvp(m, PassageProblem(0.0), np.linspace(0.0, 5.0, 21))
+        assert np.all(curve.psi == 1.0) and np.all(curve.m == 1.0)
+        assert curve.boundary_residual == 0.0 and np.all(curve.error_estimate == 0.0)
+
+    @pytest.mark.parametrize("c", [0.8, 1.0, 1.2])
+    def test_lundberg_level_uses_the_same_net_profit_test(self, c):
+        m = ModelSpec(ConstantDrift(c), 1.0, 0.0, erlang(3, 3.0))
+        problem = PassageProblem(0.0)
+        certain = np.all(solve_bvp(m, problem, np.linspace(0.0, 2.0, 5)).psi == 1.0)
+        assert certain == math.isinf(_lundberg_level(m, problem))
+
+    def test_defective_matrix_has_no_eigen_solution(self):
+        # A Jordan block: two decaying eigenvalues, one eigenvector.
+        A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+        assert passage_model._stable_eigen_solution(A, np.linspace(0.0, 1.0, 5)) is None
+
+    def test_ill_conditioned_eigenbasis_goes_to_collocation(self, monkeypatch):
+        calls = counted_collocation(monkeypatch)
+        monkeypatch.setattr(passage_model, "_stable_eigen_solution", lambda A, t: None)
+        m = const_model()
+        grid = np.linspace(0.0, 5.0, 21)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        assert len(calls) == 2
+        psi, _ = constant_drift_solution(m, grid)
+        assert np.max(np.abs(curve.psi - psi)) < 1e-7
+
+    @pytest.mark.parametrize("jumps", [exponential(1.0), erlang(3, 3.0)], ids=["exp", "erlang3"])
+    def test_negative_drift_with_upward_jumps_is_rejected(self, jumps):
+        # M(l) = 1 holds only for downward jumps; integrating forward from it
+        # here gives psi far outside [0, 1].
+        m = ModelSpec(ConstantDrift(-1.0), 0.5, 0.5, jumps, "upward")
+        with pytest.raises(NumericalError, match="upward jumps"):
+            solve_bvp(m, PassageProblem(0.0), np.linspace(0.0, 5.0, 11))
 
 
 class TestSolutionCurve:
