@@ -129,8 +129,8 @@ CLOSED_FORMS = (
 
 def closed_form_gates(model: ModelSpec, problem: PassageProblem, grid: np.ndarray):
     """Try each closed form in order; returns (curve | None, failure reasons)."""
-    if problem.estimand != "ruin_below" or problem.upper is not None:
-        return None, ["closed forms: need a one-sided ruin_below problem"]
+    if problem.estimand != "ruin_below" or problem.upper is not None or problem.overshoot_xi:
+        return None, ["closed forms: need a one-sided ruin_below problem without an overshoot penalty"]
     reasons: list[str] = []
     for name, form in CLOSED_FORMS:
         try:
@@ -158,10 +158,7 @@ def cmd_check_solvability(args) -> int:
     model = rc.model
     if isinstance(model.drift, ConstantDrift):
         # Constant drift: the whole family is one matrix; a single generator.
-        A = assemble_system(model)
-        dom = model.drift.sign_domain
-        x_ref = 0.0 if dom and dom[0] < 0.0 < dom[1] else 1.0
-        generators = [A(x_ref)]
+        generators = [assemble_system(model)(0.0)]
     else:
         generators = list(build_generators(model))
     report = closure(generators)

@@ -31,7 +31,7 @@ from .passage_model import (
     NumericalError,
     PassageProblem,
     _decay_certificate,
-    _net_profit,
+    _zero_kill_ruin,
     assemble_system,
     require_finite,
 )
@@ -240,22 +240,14 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
 def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
     """Level past which a path's remaining ruin probability is below :data:`EPS`.
 
-    For constant drift c > 0 with downward jumps and no killing, Lundberg's
-    inequality psi(u) <= e^{-R u} holds for any jump law, with R the
-    adjustment coefficient: the slowest decay rate of the constant system
-    matrix.  The level is ``lower + ln(1/EPS)/R``.  Every other posed
-    problem, and a model without net profit (c <= lam E[C], where ruin is
-    certain), gets +inf: no level.
+    Where :func:`passage_model._zero_kill_ruin` finds a zero-kill
+    constant-drift ruin problem with net profit, Lundberg's inequality
+    psi(u) <= e^{-R u} holds for any jump law, with R the adjustment
+    coefficient: the slowest decay rate of the constant system matrix.  The
+    level is ``lower + ln(1/EPS)/R``.  Every other posed problem, certain
+    ruin included, gets +inf: no level.
     """
-    drift = model.drift
-    if not (
-        drift.kind == "constant"
-        and _net_profit(model)
-        and model.kill_rate == 0
-        and model.jump_direction == "downward"
-        and problem.estimand == "ruin_below"
-        and problem.upper is None
-    ):
+    if _zero_kill_ruin(model, problem) != "lundberg":
         return math.inf
     try:
         _, rate = _decay_certificate(assemble_system(model)(problem.lower))
@@ -339,18 +331,14 @@ def _vector_flow(drift: DriftSpec, x, dt, tol: float = 1e-10):
 
 
 def _run_block(
-    model: ModelSpec,
-    problem: PassageProblem,
-    x0: float,
+    cfg: SimConfig,
     n: int,
     rng: np.random.Generator,
     horizon: float,
     level: float,
-    kill_mode: str,
-    flow_tol: float,
     collect_overshoots: bool,
 ):
-    """Simulate one block of paths; returns weights, counts, overshoots.
+    """Simulate ``n`` paths of ``cfg``; returns weights, counts, overshoots.
 
     Killing is a weight e^{-q tau} in ``"weight"`` mode; in ``"horizon"``
     mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
@@ -358,15 +346,16 @@ def _run_block(
     ``level`` stops as censored, and ``counts["at_level"]`` says how many
     of the censored paths stopped there rather than at the horizon.
     """
+    model, problem = cfg.model, cfg.problem
     drift = model.drift
     lam = model.jump_rate
     q = model.kill_rate
-    q_w = q if kill_mode == "weight" else 0.0
+    q_w = q if cfg.kill_mode == "weight" else 0.0
     xi = problem.overshoot_xi
     down = model.jump_direction == "downward"
     l, L = problem.lower, problem.upper_value
     want_ruin = problem.estimand == "ruin_below"
-    draw_kills = kill_mode == "horizon" and q > 0
+    draw_kills = cfg.kill_mode == "horizon" and q > 0
 
     alive = np.ones(n, dtype=bool)
     weights = np.zeros(n)
@@ -387,13 +376,12 @@ def _run_block(
                 overshoots.append(overshoot[jump_hits])
 
     # Tabulated drifts keep the per-path engine for now: perfbench's traced
-    # run counts their simulate_path calls (ROADMAP item 2).
+    # run counts their simulate_path calls (ROADMAP item 1).
     if drift.kind == "tabulated":
-        cfg = SimConfig(model=model, problem=problem, x0=x0, n_paths=n, seed=0,
-                        max_time=horizon, flow_tolerance=flow_tol)
+        to_horizon = replace(cfg, max_time=horizon)
         for i in range(n):
             eq = rng.exponential(1.0 / q) if draw_kills else math.inf
-            out = simulate_path(cfg if eq >= horizon else replace(cfg, max_time=eq), rng)
+            out = simulate_path(to_horizon if eq >= horizon else replace(cfg, max_time=eq), rng)
             kind = "killed" if out.kind == "censored" and eq < horizon else out.kind
             finish(np.array([i]), kind, np.array([out.tau]), np.array([out.overshoot]))
         return weights, counts, np.concatenate(overshoots)
@@ -404,7 +392,7 @@ def _run_block(
         horizons = np.full(n, horizon)
     killed_possible = horizons < horizon
 
-    x = np.full(n, float(x0))
+    x = np.full(n, float(cfg.x0))
     t = np.zeros(n)
 
     max_rounds = ROUND_BUDGET // max(n, 1) + 1000
@@ -458,7 +446,7 @@ def _run_block(
         if not np.any(go):
             continue
         g_idx = idx[go]
-        x_new = _vector_flow(drift, xi_cur[go], waits[go], flow_tol)
+        x_new = _vector_flow(drift, xi_cur[go], waits[go], cfg.flow_tolerance)
         t_new = t_cur[go] + waits[go]
         jumps = ph_sample(model.jumps, rng, size=g_idx.size)
         if down:
@@ -485,8 +473,6 @@ def _merge_moments(a, b):
     na, ma, sa = a
     nb, mb, sb = b
     n = na + nb
-    if n == 0:
-        return (0, 0.0, 0.0)
     delta = mb - ma
     mean = ma + delta * nb / n
     m2 = sa + sb + delta * delta * na * nb / n
@@ -512,16 +498,7 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     overshoots = []
     for child, size in zip(children, sizes):  # merged in block order: deterministic
         weights, cts, osh = _run_block(
-            cfg.model,
-            cfg.problem,
-            cfg.x0,
-            size,
-            np.random.default_rng(child),
-            horizon,
-            level,
-            cfg.kill_mode,
-            cfg.flow_tolerance,
-            collect_jump_overshoots,
+            cfg, size, np.random.default_rng(child), horizon, level, collect_jump_overshoots
         )
         m = weights.mean()
         m2 = float(np.sum((weights - m) ** 2))

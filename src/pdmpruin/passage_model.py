@@ -229,7 +229,11 @@ class TabulatedDrift:
 
     @cached_property
     def _spline(self):
-        """The interpolant; ``_spline(x, 1)`` is its derivative."""
+        """The interpolant; ``_spline(x, 1)`` is its derivative.
+
+        Only evaluated inside the table: :meth:`_evaluate` checks the range,
+        and every other caller evaluates inside the sign domain.
+        """
         xs, vs = np.asarray(self.x), np.asarray(self.values)
         if self.interpolation == "cubic":
             from scipy.interpolate import CubicSpline
@@ -238,9 +242,6 @@ class TabulatedDrift:
         slopes = np.diff(vs) / np.diff(xs)
 
         def linear(x, nu=0):
-            # np.interp would clamp; a linear table never extrapolates.
-            if np.any((x < xs[0]) | (x > xs[-1])):
-                raise ValueError("tabulated drift evaluated outside its table range")
             if nu == 0:
                 return np.interp(x, xs, vs)
             # The right-hand segment's slope at a knot, the last one at the end.
@@ -758,19 +759,13 @@ def _collocation(*args, **kwargs):
 
 
 def _integrate_columns(A, x0, x1, Y0, rtol, atol):
-    """Dense solution of Y' = A(x) Y for one or more stacked columns."""
+    """Dense solution of y' = A(x) y from the single row ``Y0[0]`` at ``x0``."""
     from scipy.integrate import solve_ivp
 
-    Y0 = np.atleast_2d(np.asarray(Y0, float))  # (k, dim)
-    k, dim = Y0.shape
-
-    def rhs(x, y):
-        return (A(x) @ y.reshape(dim, k, order="F")).reshape(-1, order="F")
-
     sol = solve_ivp(
-        rhs,
+        lambda x, y: A(x) @ y,
         (x0, x1),
-        Y0.T.reshape(-1, order="F"),
+        np.asarray(Y0[0], float),
         method="DOP853",
         rtol=rtol,
         atol=atol,
@@ -778,30 +773,7 @@ def _integrate_columns(A, x0, x1, Y0, rtol, atol):
     )
     if not sol.success:
         raise NumericalError(f"linear-system integration failed: {sol.message}")
-
-    def evaluate(xs):
-        xs = np.atleast_1d(np.asarray(xs, float))
-        vals = sol.sol(xs)  # (dim*k, len)
-        return vals.reshape(dim, k, len(xs), order="F")
-
-    return evaluate
-
-
-def _nonstable_left_basis(Amat: np.ndarray) -> np.ndarray:
-    """Real row basis of left eigenvectors with nonnegative real part.
-
-    Rows w satisfy w A = s w with Re(s) >= 0; requiring w @ Y = 0 removes
-    every non-decaying component from Y.
-    """
-    w, V = np.linalg.eig(Amat.T)
-    rows: list[np.ndarray] = []
-    for i in np.flatnonzero(w.real >= -1e-12):
-        if abs(w[i].imag) < 1e-12:
-            rows.append(V[:, i].real)
-        elif w[i].imag > 0:  # one row pair per conjugate pair
-            rows.append(V[:, i].real)
-            rows.append(V[:, i].imag)
-    return np.array(rows)
+    return sol.sol
 
 
 def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
@@ -813,12 +785,45 @@ def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
     return int(stable.sum()), float(w[stable].max())
 
 
+def _nonstable_left_row(Amat: np.ndarray) -> np.ndarray:
+    """Left eigenvector w (w A = s w) of the one non-decaying eigenvalue s.
+
+    Requiring w @ Y = 0 removes the non-decaying component from Y.  With n
+    of the n+1 eigenvalues decaying, s is real: non-real eigenvalues come
+    in conjugate pairs.  Any other count raises :class:`NumericalError`.
+    """
+    w, V = np.linalg.eig(Amat.T)
+    nonstable = np.flatnonzero(w.real >= -1e-12)
+    if nonstable.size != 1:
+        raise NumericalError("truncation certificate failure at X_max")
+    return np.ascontiguousarray(V[:, nonstable[0]].real)
+
+
 def _net_profit(model: ModelSpec) -> bool:
     """Whether constant drift c outruns the mean jump outflow: c > lam E[C].
 
     Without it, and without killing, ruin below is certain.
     """
     return model.drift.c > model.jump_rate * model.jumps.mean()
+
+
+def _zero_kill_ruin(model: ModelSpec, problem: PassageProblem) -> str | None:
+    """Which way a zero-kill constant-drift one-sided ruin problem goes.
+
+    The regime is constant drift, no killing, downward jumps and one-sided
+    ``ruin_below``.  Within it ruin is ``"certain"`` without net profit,
+    and ``"lundberg"``-bounded with it: psi(u) <= e^{-R u}, with R the
+    slowest decay rate of the constant system matrix.  Outside it, None.
+    """
+    if not (
+        model.drift.kind == "constant"
+        and model.kill_rate == 0
+        and model.jump_direction == "downward"
+        and problem.estimand == "ruin_below"
+        and problem.upper is None
+    ):
+        return None
+    return "lundberg" if _net_profit(model) else "certain"
 
 
 def _stable_eigen_solution(Amat: np.ndarray, t: np.ndarray):
@@ -911,14 +916,19 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     * ``exit_above``: M(l) = 0, Psi(L) = 1, with x_end = L;
     * two-sided ``ruin_below``: M(l) = 1, Psi(L) = 0, with x_end = L;
     * one-sided ``ruin_below``: M(l) = 1 plus decay at a truncation point
-      x_end = X_max, where every non-decaying mode of the system matrix is
-      projected out; X_max is pushed far enough that the truncation error
+      x_end = X_max, where the one non-decaying mode of the system matrix
+      is projected out; X_max is pushed far enough that the truncation error
       certificate is below ``BVP_BC_TOL``.
 
     There, and in the initial-value branch, the boundary residual is the
     largest violation of the posed conditions, and the error estimate is
     the discrepancy to a rerun at a looser tolerance.
+
+    The system carries no overshoot penalty, so a problem with
+    ``overshoot_xi`` > 0 raises ``ValueError``; Monte Carlo estimates it.
     """
+    if problem.overshoot_xi != 0:
+        raise ValueError("needs overshoot_xi = 0: the overshoot penalty is Monte Carlo only")
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
@@ -937,7 +947,7 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
         raise ValueError("drift changes sign on the problem domain")
 
     if phis[0] > 0 and model.drift.kind == "constant" and problem.upper is None:
-        if model.kill_rate == 0 and model.jump_direction == "downward" and not _net_profit(model):
+        if _zero_kill_ruin(model, problem) == "certain":
             # Certain ruin: at zero kill A 1 = 0, so Psi = M = 1 is the solution.
             exact = np.ones((dim, grid.size)), np.zeros(grid.size), 0.0
         else:
@@ -956,11 +966,7 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
             raise ValueError("exit above is impossible with negative drift and downward jumps")
 
         def compose(rt, at):
-            ev = _integrate_columns(A, l, float(grid[-1]), np.ones(dim)[None, :], rt, at)
-
-            def solution(xs):
-                return ev(xs)[:, 0, :]
-
+            solution = _integrate_columns(A, l, float(grid[-1]), np.ones(dim)[None, :], rt, at)
             return solution, abs(solution(np.array([l]))[:, 0] - 1.0).max()
 
     else:
@@ -979,13 +985,10 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
                     f"{n_decay}, expected {n}"
                 )
             x_end = float(grid[-1]) + math.log(1e10) / (-rate)
-            n_decay, rate = _decay_certificate(A(x_end))
-            if n_decay != n:
-                raise NumericalError("truncation certificate failure at X_max")
-            w_non = _nonstable_left_basis(A(x_end))
+            w_non = _nonstable_left_row(A(x_end))
 
             def bc(Ya, Yb):
-                return np.concatenate([Ya[1:] - 1.0, w_non @ Yb])
+                return np.concatenate([Ya[1:] - 1.0, [w_non @ Yb]])
 
         mesh = np.linspace(l, x_end, 401)
         if math.isfinite(L):

@@ -65,8 +65,9 @@ __all__ = [
 class RiccatiCoefficients:
     """Coefficients of deta/dx = b0 + b1 eta + b2 eta^2 plus their derivatives.
 
-    ``db0`` and ``db2`` are analytic for constant and exponentially
-    relaxing drifts and finite-difference based for tabulated ones.  The
+    ``db0`` and ``db2`` are exact: ``db2`` is 0, and ``db0`` uses the
+    drift's ``dphi``, which for a tabulated drift is the derivative of its
+    interpolant.  The
     companion relation for reconstructing the second component is
     dM/dx = (eta - 1) mu M.
     """

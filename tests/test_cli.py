@@ -70,6 +70,12 @@ ERLANG3_CONST_CONFIG = {
 }
 
 
+# CONST_CONFIG with an overshoot penalty, which only Monte Carlo estimates.
+OVERSHOOT_CONFIG = {**CONST_CONFIG, "problem": {"lower": 0.0, "overshoot_xi": 3.0}}
+
+ONE_SIDED_REASON = "closed forms: need a one-sided ruin_below problem without an overshoot penalty"
+
+
 def _readme_command_lines():
     """The ``pdmpruin ...`` lines of the README's subcommand block, comments cut."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -256,6 +262,12 @@ class TestDispatchGates:
             assert reason == f"{name}: needs {lack}"
             assert "form" not in reason[len(name):]
 
+    def test_overshoot_penalty_gives_the_one_sided_reason(self):
+        rc = parse_config(OVERSHOOT_CONFIG)
+        curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
+        assert curve is None
+        assert reasons == [ONE_SIDED_REASON]
+
     @pytest.mark.parametrize("estimand", ["ruin_below", "exit_above"])
     def test_two_sided_problem_gives_the_one_sided_reason(self, estimand):
         cfg = with_value(CONST_CONFIG, ("problem",),
@@ -263,7 +275,7 @@ class TestDispatchGates:
         rc = parse_config(cfg)
         curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
         assert curve is None
-        assert reasons == ["closed forms: need a one-sided ruin_below problem"]
+        assert reasons == [ONE_SIDED_REASON]
 
     def test_perturbed_tabulated_drift_falls_to_bvp(self, tmp_path):
         xs = np.linspace(-1.0, 8.0, 400)
@@ -347,6 +359,46 @@ class TestExitCodes:
         assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert {tuple(r[1:]) for r in rows} == {("1", "1", "1", "1", "ode_bvp")}
+
+    def test_overshoot_penalty_solve_is_refused(self, tmp_path, capsys):
+        # solve used to write the unpenalised Psi(1) = 0.184 with exit 0
+        out = tmp_path / "s.csv"
+        argv = ["solve", "--config", write_config(tmp_path, OVERSHOOT_CONFIG), "--output", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == f"gate failed: {ONE_SIDED_REASON}\n"
+        assert captured.err == (
+            "numerical failure: needs overshoot_xi = 0: the overshoot penalty is Monte Carlo only\n"
+        )
+        assert not out.exists()
+
+    def test_overshoot_penalty_compare_has_nothing_to_compare(self, tmp_path, capsys):
+        # compare used to exit 3, holding the unpenalised curves against the
+        # penalised Monte Carlo band
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--config", write_config(tmp_path, OVERSHOOT_CONFIG),
+                "--output", str(out), "--paths", "100", "--mc-points", "2"]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"note: {ONE_SIDED_REASON}",
+            "note: ode_bvp unavailable: needs overshoot_xi = 0: "
+            "the overshoot penalty is Monte Carlo only",
+        ]
+        assert "nothing to compare" in captured.err
+        assert not out.exists()
+
+    def test_overshoot_penalty_simulate_estimates_it(self, tmp_path, capsys):
+        # Exp(mu) jumps: the overshoot is Exp(mu) whatever the ruin time, so the
+        # penalised target is Psi(x0) mu/(mu + xi) with Psi(x) = 0.5 e^{-x}
+        out = tmp_path / "est.json"
+        argv = ["simulate", "--config", write_config(tmp_path, OVERSHOOT_CONFIG),
+                "--paths", "20000", "--output", str(out), "--quiet"]
+        assert main(argv) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["target"] == "psi_q_overshoot"
+        exact = 0.5 * math.exp(-1.0) * 2.0 / (2.0 + 3.0)
+        assert abs(data["mean"] - exact) < 5 * data["std_error"]
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, case):
@@ -529,6 +581,23 @@ class TestSubcommands:
         assert main(["check-solvability", "--config", path]) == EXIT_OK
         assert "dimension" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jumps", [CONST_CONFIG["model"]["jumps"], ERLANG3_JUMPS],
+                             ids=["exp", "erlang3"])
+    def test_check_solvability_constant_drift(self, tmp_path, capsys, jumps):
+        # one constant system matrix: a one-dimensional abelian closure
+        path = write_config(tmp_path, with_value(CONST_CONFIG, ("model", "jumps"), jumps))
+        assert main(["check-solvability", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "dimension 1, solvable\nderived series dimensions: (1, 0)\n"
+        )
+
+    def test_check_solvability_zero_drift(self, tmp_path, capsys):
+        path = write_config(tmp_path, with_value(CONST_CONFIG, ("model", "drift", "c"), 0.0))
+        assert main(["check-solvability", "--config", path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "drift is identically zero" in captured.err
+
     def test_check_integrability(self, tmp_path, capsys):
         path = write_config(tmp_path, FIG1_CONFIG)
         out = str(tmp_path / "gate.json")
@@ -638,6 +707,28 @@ class TestScipyStaysUnloaded:
                  for step in steps]
         code = f"from pdmpruin.cli import main\nassert [main(a) for a in {calls!r}] == {[0] * len(calls)!r}"
         assert loaded_scipy(code) == "[]"
+
+
+def test_benchmark_tracer_labels_the_initial_value_solve():
+    # The benchmark's tracer wraps layer functions by name and labels the
+    # initial-value integration by its arguments; the relaxing drift's solve
+    # reaches it twice (the solve and its looser error-estimate rerun).
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        f"import json, sys\nsys.path.insert(0, {str(bench)!r})\n"
+        "import traced\nfrom spans import Tracer\n"
+        "from pdmpruin import cli\nfrom pdmpruin.serialization import parse_config\n"
+        "tracer = Tracer()\ntraced.install(tracer)\n"
+        f"rc = parse_config({FIG1_CONFIG!r})\n"
+        "cli.solve_bvp(rc.model, rc.problem, rc.grid.array())\n"
+        "print(json.dumps(tracer.counters))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(proc.stdout.splitlines()[-1])
+    assert counters["passage_model.solve_bvp.calls"] == 1
+    assert counters["passage_model.ivp.calls"] == 2
+    assert not any(name.endswith(".errors") for name in counters)
 
 
 @pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])

@@ -456,6 +456,24 @@ class TestSolveBvp:
         assert len(calls) == 2  # the solve and its looser error-estimate rerun
         assert curve.method == "ode_bvp"
 
+    def test_truncation_row_is_the_non_decaying_left_eigenvector(self):
+        # positive drift with Erlang-3 jumps: three decaying modes, one growing
+        A = assemble_system(ModelSpec(ConstantDrift(1.0), 1.0, 0.5, erlang(3, 3.0)))(0.0)
+        w = passage_model._nonstable_left_row(A)
+        s = np.linalg.eigvals(A).real.max()
+        assert s > 0 and w.shape == (4,) and w.flags.c_contiguous
+        assert_allclose(w @ A, s * w, rtol=0, atol=1e-12 * np.linalg.norm(A))
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.diag([-1.0, -2.0, -3.0]), np.diag([1.0, 2.0, -3.0]),
+         np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])],
+        ids=["none", "two-real", "conjugate-pair"],
+    )
+    def test_truncation_row_needs_exactly_one_non_decaying_mode(self, A):
+        with pytest.raises(NumericalError, match="truncation certificate failure at X_max"):
+            passage_model._nonstable_left_row(A)
+
     def test_grid_and_interval_errors(self):
         m = const_model()
         with pytest.raises(ValueError):
