@@ -31,7 +31,7 @@ from .passage_model import (
     NumericalError,
     PassageProblem,
     _decay_certificate,
-    _zero_kill_ruin,
+    _ruin_verdict,
     assemble_system,
     require_finite,
 )
@@ -240,14 +240,14 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
 def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
     """Level past which a path's remaining ruin probability is below :data:`EPS`.
 
-    Where :func:`passage_model._zero_kill_ruin` finds a zero-kill
+    Where :func:`passage_model._ruin_verdict` finds a zero-kill
     constant-drift ruin problem with net profit, Lundberg's inequality
     psi(u) <= e^{-R u} holds for any jump law, with R the adjustment
     coefficient: the slowest decay rate of the constant system matrix.  The
     level is ``lower + ln(1/EPS)/R``.  Every other posed problem, certain
     ruin included, gets +inf: no level.
     """
-    if _zero_kill_ruin(model, problem) != "lundberg":
+    if _ruin_verdict(model, problem) != "lundberg":
         return math.inf
     try:
         _, rate = _decay_certificate(assemble_system(model)(problem.lower))
@@ -344,7 +344,8 @@ def _run_block(
     mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
     stopped by its kill time counts as killed.  A path at or above
     ``level`` stops as censored, and ``counts["at_level"]`` says how many
-    of the censored paths stopped there rather than at the horizon.
+    of the censored paths stopped there rather than at the horizon.  Where
+    ruin is impossible every path escapes at once.
     """
     model, problem = cfg.model, cfg.problem
     drift = model.drift
@@ -374,6 +375,11 @@ def _run_block(
             jump_hits = overshoot > 0
             if np.any(jump_hits):
                 overshoots.append(overshoot[jump_hits])
+
+    if _ruin_verdict(model, problem) == "impossible":
+        # Nothing moves a path down to l: each escapes to +inf, with weight 0.
+        finish(np.arange(n), "escaped", np.zeros(n), np.zeros(n))
+        return weights, counts, np.concatenate(overshoots)
 
     # Tabulated drifts keep the per-path engine for now: perfbench's traced
     # run counts their simulate_path calls (ROADMAP item 1).

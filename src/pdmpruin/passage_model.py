@@ -67,6 +67,41 @@ def require_finite(where: str, **fields) -> None:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
+def _not_a_knot_slopes(h: np.ndarray, secant: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline with interval widths ``h``
+    and secant slopes ``secant``.
+
+    Continuity of the second derivative at the interior knots, and of the
+    third at the second and second-to-last knot, is one tridiagonal system,
+    solved by the Thomas algorithm in O(n).  Two knots give the line, and
+    three the interpolating parabola, where both end conditions coincide.
+    """
+    n = h.size + 1
+    if n == 2:
+        return np.array([secant[0], secant[0]])
+    if n == 3:
+        curve = (secant[1] - secant[0]) / (h[0] + h[1])
+        return np.array([secant[0] - curve * h[0], secant[0] + curve * h[0], secant[1] + curve * h[1]])
+    lower = np.concatenate(([0.0], h[1:], [h[-1] + h[-2]])).tolist()
+    diag = np.concatenate(([h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]])).tolist()
+    upper = np.concatenate(([h[0] + h[1]], h[:-1])).tolist()
+    first, last = h[0] + h[1], h[-1] + h[-2]
+    rhs = np.concatenate((
+        [((h[0] + 2.0 * first) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / first],
+        3.0 * (h[1:] * secant[:-1] + h[:-1] * secant[1:]),
+        [(h[-1] ** 2 * secant[-2] + (2.0 * last + h[-1]) * h[-2] * secant[-1]) / last],
+    )).tolist()
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    return np.array(s)
+
+
 @dataclass(frozen=True)
 class ConstantDrift:
     """Constant drift phi(x) = c."""
@@ -188,6 +223,10 @@ class SegerdahlDrift:
 class TabulatedDrift:
     """Drift given on a grid with an interpolation rule ("cubic" or "linear").
 
+    Both rules are one table of polynomial pieces (:attr:`_spline`),
+    evaluated with numpy alone: "cubic" is the not-a-knot cubic spline,
+    "linear" joins the knots by lines.
+
     ``sign_domain`` defaults to the full table and must be an interval on
     which the interpolated drift keeps one sign; the table itself may
     extend beyond it.  Flows and crossing times live on the sign domain:
@@ -228,29 +267,45 @@ class TabulatedDrift:
             raise ValueError("tabulated drift changes sign (or vanishes) on its sign_domain")
 
     @cached_property
-    def _spline(self):
-        """The interpolant; ``_spline(x, 1)`` is its derivative.
+    def _knots(self) -> np.ndarray:
+        return np.array(self.x)
 
-        Only evaluated inside the table: :meth:`_evaluate` checks the range,
-        and every other caller evaluates inside the sign domain.
+    @cached_property
+    def _spline(self) -> np.ndarray:
+        """The interpolant as one ``(n-1, 4)`` table: row k holds the
+        coefficients (c3, c2, c1, c0) of its polynomial in t = x - x_k on
+        [x_k, x_{k+1}].
+
+        The "cubic" rule is the not-a-knot cubic spline, the default end
+        condition of ``scipy.interpolate.CubicSpline``, built the same way
+        (Hermite rows from the knot slopes); "linear" rows have c3 = c2 = 0.
         """
-        xs, vs = np.asarray(self.x), np.asarray(self.values)
-        if self.interpolation == "cubic":
-            from scipy.interpolate import CubicSpline
+        xs, vs = self._knots, np.array(self.values)
+        h = np.diff(xs)
+        secant = np.diff(vs) / h
+        if self.interpolation == "linear":
+            zero = np.zeros(h.size)
+            return np.column_stack([zero, zero, secant, vs[:-1]])
+        s = _not_a_knot_slopes(h, secant)
+        bend = (s[:-1] + s[1:] - 2.0 * secant) / h
+        return np.column_stack([bend / h, (secant - s[:-1]) / h - bend, s[:-1], vs[:-1]])
 
-            return CubicSpline(xs, vs)
-        slopes = np.diff(vs) / np.diff(xs)
+    def _interp(self, x, nu=0):
+        """The interpolant at ``x`` (``nu = 0``) or its derivative (``nu = 1``).
 
-        def linear(x, nu=0):
-            if nu == 0:
-                return np.interp(x, xs, vs)
-            # The right-hand segment's slope at a knot, the last one at the end.
-            return slopes[np.minimum(np.searchsorted(xs, x, side="right"), slopes.size) - 1]
-
-        return linear
-
-    def _interp(self, x):
-        return np.asarray(self._spline(x), float)
+        A point takes the piece of the last knot at or before it: a knot its
+        right-hand piece, the table's end the last one.  Only evaluated
+        inside the table: :meth:`_evaluate` checks the range, and every
+        other caller evaluates inside the sign domain.
+        """
+        x = np.asarray(x, float)
+        xs = self._knots
+        k = xs[1:-1].searchsorted(x, "right")
+        t = x - xs.take(k)
+        c = self._spline.take(k, axis=0)
+        if nu == 0:
+            return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
+        return (3.0 * c[..., 0] * t + 2.0 * c[..., 1]) * t + c[..., 2]
 
     @property
     def table_range(self) -> tuple[float, float]:
@@ -268,7 +323,7 @@ class TabulatedDrift:
         lo, hi = self.table_range
         if np.any(arr < lo) or np.any(arr > hi):
             raise ValueError("tabulated drift evaluated outside its table range")
-        val = np.asarray(self._spline(arr, nu), float)
+        val = self._interp(arr, nu)
         return val if arr.ndim else float(val)
 
     @cached_property
@@ -276,7 +331,7 @@ class TabulatedDrift:
         """Knots z of the sign domain, the clock F(z) = int_{z_0}^{z} dx/phi
         at them, and the position resolution the clock's rounding allows."""
         lo, hi = self.sign_domain
-        xs = np.asarray(self.x)
+        xs = self._knots
         z = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
         F = np.concatenate(([0.0], np.cumsum(self._clock_step(z[:-1], z[1:]))))
         eps = np.finfo(float).eps
@@ -807,21 +862,27 @@ def _net_profit(model: ModelSpec) -> bool:
     return model.drift.c > model.jump_rate * model.jumps.mean()
 
 
-def _zero_kill_ruin(model: ModelSpec, problem: PassageProblem) -> str | None:
-    """Which way a zero-kill constant-drift one-sided ruin problem goes.
+def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
+    """Whether a one-sided constant-drift ``ruin_below`` problem has a known answer.
 
-    The regime is constant drift, no killing, downward jumps and one-sided
-    ``ruin_below``.  Within it ruin is ``"certain"`` without net profit,
-    and ``"lundberg"``-bounded with it: psi(u) <= e^{-R u}, with R the
-    slowest decay rate of the constant system matrix.  Outside it, None.
+    * ``"impossible"``: positive drift with upward jumps never moves down,
+      so ruin never happens (Psi = M = 0), whatever the kill rate.
+    * At zero kill with downward jumps, ``"certain"`` without net profit
+      (Psi = M = 1), and ``"lundberg"``-bounded with it: psi(u) <= e^{-R u},
+      with R the slowest decay rate of the constant system matrix.
+
+    Every other problem, killed downward-jump ones included, gets None: it
+    has to be solved.
     """
     if not (
         model.drift.kind == "constant"
-        and model.kill_rate == 0
-        and model.jump_direction == "downward"
         and problem.estimand == "ruin_below"
         and problem.upper is None
     ):
+        return None
+    if model.jump_direction == "upward":
+        return "impossible" if model.drift.c > 0 else None
+    if model.kill_rate != 0:
         return None
     return "lundberg" if _net_profit(model) else "certain"
 
@@ -906,7 +967,8 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     pointwise bound on the rounding error of that exact solution, built
     from the eigen-residuals and the conditioning of the eigenbasis.  At
     zero kill without net profit (c <= lam E[C]) ruin is certain and
-    Psi = M = 1.  A near-defective A, whose bound would exceed
+    Psi = M = 1; with upward jumps it is impossible and Psi = M = 0, for
+    any kill rate.  A near-defective A, whose bound would exceed
     ``BVP_BC_TOL``, goes to collocation below.
 
     Every other positive-drift problem is the same linear two-point problem
@@ -947,9 +1009,12 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
         raise ValueError("drift changes sign on the problem domain")
 
     if phis[0] > 0 and model.drift.kind == "constant" and problem.upper is None:
-        if _zero_kill_ruin(model, problem) == "certain":
-            # Certain ruin: at zero kill A 1 = 0, so Psi = M = 1 is the solution.
-            exact = np.ones((dim, grid.size)), np.zeros(grid.size), 0.0
+        verdict = _ruin_verdict(model, problem)
+        if verdict in ("certain", "impossible"):
+            # Psi = M = 0 solves any linear system, and at zero kill A 1 = 0,
+            # so Psi = M = 1 solves this one.
+            value = 1.0 if verdict == "certain" else 0.0
+            exact = np.full((dim, grid.size), value), np.zeros(grid.size), 0.0
         else:
             exact = _stable_eigen_solution(A(l), grid - l)
         if exact is not None:

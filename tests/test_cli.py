@@ -109,6 +109,16 @@ def with_value(base, path, value):
     return cfg
 
 
+# FIG1_CONFIG with its relaxing drift read from a 41-knot cubic table.
+_TABLE_X = np.linspace(-1.0, 8.0, 41)
+CUBIC_TABLE_CONFIG = with_value(
+    FIG1_CONFIG,
+    ("model", "drift"),
+    {"kind": "tabulated", "x": _TABLE_X.tolist(),
+     "values": (-(1.0 / 1.5) * (1.0 - 0.75 * np.exp(-3.0 * _TABLE_X))).tolist(),
+     "interpolation": "cubic", "sign_domain": [0.0, 8.0]},
+)
+
 NAN, INF = math.nan, math.inf
 
 # Config blocks that must be JSON objects.
@@ -360,6 +370,25 @@ class TestExitCodes:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert {tuple(r[1:]) for r in rows} == {("1", "1", "1", "1", "ode_bvp")}
 
+    def test_positive_drift_with_upward_jumps_is_never_ruined(self, tmp_path, capsys):
+        # solve used to exit 2 ("decaying eigenspace has dimension 0,
+        # expected 3"), and simulate to censor every path with a warning
+        # that max_time was too small.
+        model = {"drift": {"kind": "constant", "c": 1.0}, "jump_rate": 0.5, "kill_rate": 0.5,
+                 "jumps": ERLANG3_JUMPS, "jump_direction": "upward"}
+        path = write_config(tmp_path, dict(CONST_CONFIG, model=model))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 21
+        assert {tuple(r[1:]) for r in rows} == {("0", "0", "0", "0", "ode_bvp")}
+        proc = run_cli(["simulate", "--config", path, "--paths", "2000"])
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == (
+            "estimate 0 +- 0 (ruined 0, escaped 2000, censored 0, killed 0; target psi_q)\n"
+        )
+        assert proc.stderr == ""
+
     def test_overshoot_penalty_solve_is_refused(self, tmp_path, capsys):
         # solve used to write the unpenalised Psi(1) = 0.184 with exit 0
         out = tmp_path / "s.csv"
@@ -457,10 +486,10 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_round_budget_exhaustion_is_numerical_error(self, tmp_path, monkeypatch, capsys):
-        # upward jumps and positive drift never reach the lower level, and
-        # no Lundberg level stops them: every path runs to the horizon
+        # with killing there is no Lundberg level, and most paths outrun
+        # their jumps: they are still alive after the round budget
         monkeypatch.setattr("pdmpruin.mc_sim.ROUND_BUDGET", 1000)
-        cfg = with_value(CONST_CONFIG, ("model", "jump_direction"), "upward")
+        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 0.1)
         argv = ["simulate", "--config", write_config(tmp_path, cfg), "--paths", "100",
                 "--max-time", "1e5"]
         assert main(argv) == EXIT_NUMERICAL
@@ -686,10 +715,12 @@ class TestScipyStaysUnloaded:
     def test_import_cli(self):
         assert loaded_scipy("import pdmpruin.cli") == "[]"
 
-    def test_linear_table(self):
+    @pytest.mark.parametrize("rule", ["linear", "cubic"])
+    def test_tabulated_drift(self, rule):
+        # Three collinear knots: both rules interpolate the line.
         code = ("from pdmpruin.passage_model import TabulatedDrift\n"
-                "d = TabulatedDrift((0.0, 1.0, 2.0), (-1.0, -1.5, -2.0), 'linear')\n"
-                "assert d.phi(0.5) == -1.25")
+                f"d = TabulatedDrift((0.0, 1.0, 2.0), (-1.0, -1.5, -2.0), {rule!r})\n"
+                "assert d.phi(0.5) == -1.25 and d.dphi(1.5) == -0.5")
         assert loaded_scipy(code) == "[]"
 
     @pytest.mark.parametrize(
@@ -698,8 +729,10 @@ class TestScipyStaysUnloaded:
             (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"]]),
             (CONST_CONFIG, [["solve"], ["simulate", "--paths", "2000"]]),
             (ERLANG3_CONST_CONFIG, [["solve"]]),
+            (CUBIC_TABLE_CONFIG, [["check-solvability"], ["check-integrability"],
+                                  ["simulate", "--paths", "2000"]]),
         ],
-        ids=["relaxing", "constant", "constant-erlang3"],
+        ids=["relaxing", "constant", "constant-erlang3", "cubic-table"],
     )
     def test_numpy_only_steps(self, tmp_path, config, steps):
         path = write_config(tmp_path, config)

@@ -429,6 +429,19 @@ class TestLundbergLevel:
         assert est.n_censored == 0
         assert est.mean == 1.0
 
+    @pytest.mark.parametrize("kill_mode", ["weight", "horizon"])
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_positive_drift_with_upward_jumps_settles_at_once(self, recwarn, q, kill_mode):
+        # Ruin below is impossible: every path escapes with weight 0, none is
+        # censored, and no censoring warning is raised.  These paths used to
+        # run to the horizon and come back all censored.
+        m = ModelSpec(ConstantDrift(1.0), 0.5, q, ERLANG3, "upward")
+        est = estimate(ruin_cfg(m, x0=1.0, n=2000, seed=3, kill_mode=kill_mode))
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+        assert (est.n_escaped, est.n_censored, est.n_ruined, est.n_killed) == (2000, 0, 0, 0)
+        assert not est.all_censored
+        assert len(recwarn) == 0
+
     def test_unresolved_adjustment_coefficient_keeps_the_time_horizon(self):
         # net profit by 1e-13: R is below what the eigenvalues resolve, and
         # _decay_certificate finds no decaying mode; that must not raise here

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from pdmpruin import passage_model
@@ -143,6 +144,46 @@ class TestDrifts:
         assert d.dphi(xs[-1]) == (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
         with pytest.raises(ValueError, match="outside its table range"):
             d.dphi(xs[-1] + 0.1)
+
+    @staticmethod
+    def random_table(n, seed):
+        """A non-uniform table whose cubic spline stays positive; its knots,
+        interval midpoints and both ends as probe points."""
+        rng = np.random.default_rng(seed)
+        xs = np.cumsum(rng.uniform(0.05, 1.0, n))
+        vs = rng.uniform(5.0, 6.0, n)
+        points = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:]), [xs[0], xs[-1]]])
+        return xs, vs, points
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 400])
+    def test_cubic_matches_scipy_not_a_knot_spline(self, n):
+        # Two knots give the line and three the parabola, as in scipy.
+        xs, vs, points = self.random_table(n, seed=n)
+        d = TabulatedDrift(tuple(xs), tuple(vs))
+        reference = CubicSpline(xs, vs)
+        for ours, theirs in ((d.phi(points), reference(points)),
+                             (d.dphi(points), reference(points, 1))):
+            assert np.abs(ours - theirs).max() <= 1e-14 * np.abs(theirs).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 400])
+    def test_linear_matches_numpy_interp(self, n):
+        xs, vs, points = self.random_table(n, seed=100 + n)
+        d = TabulatedDrift(tuple(xs), tuple(vs), "linear")
+        want = np.interp(points, xs, vs)
+        assert np.all(np.abs(d.phi(points) - want) <= np.spacing(want))
+        # The derivative is the right-hand secant at a knot, the last one at the end.
+        secant = np.diff(vs) / np.diff(xs)
+        assert_array_equal(d.dphi(xs), np.append(secant, secant[-1]))
+        assert_array_equal(d.dphi(0.5 * (xs[:-1] + xs[1:])), secant)
+
+    @pytest.mark.parametrize("rule", ["cubic", "linear"])
+    def test_scalar_input_gives_float(self, rule):
+        xs, vs, _ = self.random_table(5, seed=1)
+        d = TabulatedDrift(tuple(xs), tuple(vs), rule)
+        for x in (xs[0], float(xs[2]), 0.5 * (xs[0] + xs[1]), xs[-1]):
+            assert type(d.phi(x)) is float and type(d.dphi(x)) is float
+            assert d.phi(x) == d.phi(np.array([x]))[0]
+            assert d.dphi(x) == d.dphi(np.array([x]))[0]
 
     def test_drift_serialization_round_trip(self):
         for d in (ConstantDrift(1.5), SegerdahlDrift(**FIG1),
@@ -575,6 +616,19 @@ class TestConstantDriftEigenSolution:
         curve = solve_bvp(m, PassageProblem(0.0), np.linspace(0.0, 5.0, 21))
         assert np.all(curve.psi == 1.0) and np.all(curve.m == 1.0)
         assert curve.boundary_residual == 0.0 and np.all(curve.error_estimate == 0.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("jumps", [exponential(1.0), erlang(3, 3.0)], ids=["exp", "erlang3"])
+    def test_positive_drift_with_upward_jumps_is_never_ruined(self, jumps, q):
+        # The process never moves down: Psi = M = 0, which solves the system.
+        # The eigen solution used to find no decaying mode and raise.
+        m = ModelSpec(ConstantDrift(1.0), 0.5, q, jumps, "upward")
+        grid = np.linspace(0.0, 5.0, 21)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        assert np.all(curve.psi == 0.0) and np.all(curve.m == 0.0)
+        assert curve.boundary_residual == 0.0 and np.all(curve.error_estimate == 0.0)
+        _, res = ode_residual(m, grid, curve.psi, curve.m, 0.0 * curve.psi, 0.0 * curve.m)
+        assert np.all(res == 0.0)
 
     @pytest.mark.parametrize("c", [0.8, 1.0, 1.2])
     def test_lundberg_level_uses_the_same_net_profit_test(self, c):
