@@ -354,7 +354,7 @@ class TabulatedDrift:
                 f"flow left the drift table's sign domain {self.sign_domain}: "
                 f"x in [{x.min():g}, {x.max():g}]"
             )
-        k = np.clip(np.searchsorted(z, x, side="right") - 1, 0, z.size - 2)
+        k = z[1:-1].searchsorted(x, "right")
         return F[k] + self._clock_step(z[k], x)
 
     def flow(self, x, t, tol=1e-10):
@@ -372,7 +372,7 @@ class TabulatedDrift:
                 f"flow left the drift table: its sign domain {self.sign_domain} "
                 "ends before the requested time"
             )
-        k = np.clip(np.searchsorted(s * F, s * target, side="right") - 1, 0, z.size - 2)
+        k = (s * F[1:-1]).searchsorted(s * target, "right")
         a, b = z[k], z[k + 1]
         x = a + (b - a) * (target - F[k]) / (F[k + 1] - F[k])
         tol = max(tol, resolution)
@@ -739,15 +739,13 @@ def _segerdahl_q0_full(model: ModelSpec, x):
         zp = lam / phi_checked(drift, v)
         return [zp, math.exp(-mu * v + J)]
 
-    from scipy.integrate import solve_ivp
+    from ._dop853 import integrate as dop853
 
     sols = []
     start, y0 = 0.0, [0.0, 0.0]
     for _ in range(80):
-        sol = solve_ivp(
-            rhs, (start, xc), y0, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True
-        )
-        if not sol.success:
+        sol = dop853(rhs, start, xc, y0, 1e-12, 1e-14)
+        if sol.message is not None:
             raise NumericalError(f"quadrature integration failed: {sol.message}")
         sols.append(sol)
         J_c, F_c = sol.y[:, -1]
@@ -770,7 +768,7 @@ def _segerdahl_q0_full(model: ModelSpec, x):
         for s in sols:
             mask = (v >= s.t[0]) & (v <= s.t[-1])
             if np.any(mask):
-                out[:, mask] = s.sol(v[mask])
+                out[:, mask] = s(v[mask])
         return out
 
     J_c, F_c = sols[-1].y[:, -1]
@@ -815,20 +813,12 @@ def _collocation(*args, **kwargs):
 
 def _integrate_columns(A, x0, x1, Y0, rtol, atol):
     """Dense solution of y' = A(x) y from the single row ``Y0[0]`` at ``x0``."""
-    from scipy.integrate import solve_ivp
+    from ._dop853 import integrate as dop853
 
-    sol = solve_ivp(
-        lambda x, y: A(x) @ y,
-        (x0, x1),
-        np.asarray(Y0[0], float),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
+    sol = dop853(lambda x, y: A(x) @ y, x0, x1, Y0[0], rtol, atol)
+    if sol.message is not None:
         raise NumericalError(f"linear-system integration failed: {sol.message}")
-    return sol.sol
+    return sol
 
 
 def _decay_certificate(Amat: np.ndarray) -> tuple[int, float]:
@@ -863,26 +853,24 @@ def _net_profit(model: ModelSpec) -> bool:
 
 
 def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
-    """Whether a one-sided constant-drift ``ruin_below`` problem has a known answer.
+    """Whether a constant-drift ``ruin_below`` problem has a known answer.
 
     * ``"impossible"``: positive drift with upward jumps never moves down,
-      so ruin never happens (Psi = M = 0), whatever the kill rate.
-    * At zero kill with downward jumps, ``"certain"`` without net profit
-      (Psi = M = 1), and ``"lundberg"``-bounded with it: psi(u) <= e^{-R u},
-      with R the slowest decay rate of the constant system matrix.
+      so ruin never happens (Psi = M = 0), whatever the kill rate and
+      whether or not there is an upper level.
+    * One-sided at zero kill with downward jumps, ``"certain"`` without net
+      profit (Psi = M = 1), and ``"lundberg"``-bounded with it:
+      psi(u) <= e^{-R u}, with R the slowest decay rate of the constant
+      system matrix.
 
-    Every other problem, killed downward-jump ones included, gets None: it
-    has to be solved.
+    Every other problem, killed or two-sided downward-jump ones included,
+    gets None: it has to be solved.
     """
-    if not (
-        model.drift.kind == "constant"
-        and problem.estimand == "ruin_below"
-        and problem.upper is None
-    ):
+    if not (model.drift.kind == "constant" and problem.estimand == "ruin_below"):
         return None
     if model.jump_direction == "upward":
         return "impossible" if model.drift.c > 0 else None
-    if model.kill_rate != 0:
+    if model.kill_rate != 0 or problem.upper is not None:
         return None
     return "lundberg" if _net_profit(model) else "certain"
 
@@ -968,8 +956,8 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     from the eigen-residuals and the conditioning of the eigenbasis.  At
     zero kill without net profit (c <= lam E[C]) ruin is certain and
     Psi = M = 1; with upward jumps it is impossible and Psi = M = 0, for
-    any kill rate.  A near-defective A, whose bound would exceed
-    ``BVP_BC_TOL``, goes to collocation below.
+    any kill rate, with or without an upper level.  A near-defective A,
+    whose bound would exceed ``BVP_BC_TOL``, goes to collocation below.
 
     Every other positive-drift problem is the same linear two-point problem
     on [l, x_end], solved by collocation; only the boundary conditions
@@ -1008,15 +996,14 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     if phis.max() > 0 and phis.min() < 0:
         raise ValueError("drift changes sign on the problem domain")
 
+    verdict = _ruin_verdict(model, problem) if phis[0] > 0 else None
+    if verdict in ("certain", "impossible"):
+        # Psi = M = 0 solves any linear system and meets Psi(L) = 0, and at
+        # zero kill A 1 = 0, so Psi = M = 1 solves this one.
+        Y = np.full((dim, grid.size), 1.0 if verdict == "certain" else 0.0)
+        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", np.zeros(grid.size), 0.0)
     if phis[0] > 0 and model.drift.kind == "constant" and problem.upper is None:
-        verdict = _ruin_verdict(model, problem)
-        if verdict in ("certain", "impossible"):
-            # Psi = M = 0 solves any linear system, and at zero kill A 1 = 0,
-            # so Psi = M = 1 solves this one.
-            value = 1.0 if verdict == "certain" else 0.0
-            exact = np.full((dim, grid.size), value), np.zeros(grid.size), 0.0
-        else:
-            exact = _stable_eigen_solution(A(l), grid - l)
+        exact = _stable_eigen_solution(A(l), grid - l)
         if exact is not None:
             Y, err, bres = exact
             return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, bres)

@@ -9,6 +9,7 @@ its density ``beta @ expm(B x) @ b`` with exit-rate vector ``b = -B @ 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -257,13 +258,47 @@ def validate(pt: PhaseType) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def matrix_exp(M, t: float = 1.0) -> np.ndarray:
-    """exp(M t) by :func:`scipy.linalg.expm`.
+# Pade approximant coefficients b_0..b_m of exp for the orders m of the
+# scaling-and-squaring algorithm, and the largest 1-norm theta_m at which
+# order m alone meets double-precision backward error (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 2005, Table 2.3).
+_PADE = {
+    3: np.array([120.0, 60.0, 12.0, 1.0]),
+    5: np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0]),
+    7: np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0]),
+    9: np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+                 2162160.0, 110880.0, 3960.0, 90.0, 1.0]),
+    13: np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                  1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+                  33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0]),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
-    That is Pade scaling and squaring with backward-error-bounded order and
-    scaling choice (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009);
-    it needs no eigendecomposition, so defective matrices such as Erlang
-    subgenerators are handled exactly like any other.
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of exp(A): (V - U)^{-1} (V + U), with U the
+    odd and V the even part of the numerator polynomial."""
+    b = _PADE[m]
+    A2 = A @ A
+    powers = [np.eye(A.shape[0]), A2]  # A^0, A^2, ..., A^(m-1)
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ A2)
+    P = np.array(powers).reshape(len(powers), -1)
+    U = A @ (b[1::2] @ P).reshape(A.shape)
+    V = (b[0::2] @ P).reshape(A.shape)
+    return np.linalg.solve(V - U, V + U)
+
+
+def matrix_exp(M, t: float = 1.0) -> np.ndarray:
+    """exp(M t) by Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 2005).
+
+    The exact 1-norm of M t picks the lowest Pade order 3, 5, 7, 9 or 13
+    whose theta_m bounds it; past theta_13 the matrix is halved s times,
+    approximated at order 13 and squared s times.  It needs no
+    eigendecomposition, so defective matrices such as Erlang subgenerators
+    are handled exactly like any other; a 1 x 1 matrix is ``np.exp``.
 
     Raises
     ------
@@ -272,17 +307,29 @@ def matrix_exp(M, t: float = 1.0) -> np.ndarray:
     ValueError
         For non-square or non-finite input.
     """
-    from scipy.linalg import expm
-
     A = np.asarray(M, dtype=float) * t
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix_exp needs finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        E = expm(A)
+        E = np.exp(A) if A.shape == (1, 1) else _scaled_pade(A)
     if not np.all(np.isfinite(E)):
         raise OverflowError("matrix_exp overflowed")
+    return E
+
+
+def _scaled_pade(A: np.ndarray) -> np.ndarray:
+    norm = np.abs(A).sum(axis=0).max()  # the 1-norm
+    for m in (3, 5, 7, 9):
+        if norm <= _THETA[m]:
+            return _pade(A, m)
+    if not math.isfinite(norm):
+        raise OverflowError("matrix_exp overflowed")
+    s = max(0, math.ceil(math.log2(norm / _THETA[13])))
+    E = _pade(A / 2.0**s, 13)
+    for _ in range(s):
+        E = E @ E
     return E
 
 

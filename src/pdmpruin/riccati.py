@@ -420,7 +420,7 @@ def riccati_numeric(
     Raises :class:`RiccatiBlowUpError` with the pole location when the
     solution escapes past ``RICCATI_BLOWUP`` inside the range.
     """
-    from scipy.integrate import solve_ivp
+    from ._dop853 import integrate as dop853
 
     x0, x1 = float(x_range[0]), float(x_range[1])
 
@@ -431,24 +431,12 @@ def riccati_numeric(
     def escape(x, y):
         return abs(y[0]) - RICCATI_BLOWUP
 
-    escape.terminal = True
-    escape.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (x0, x1),
-        [float(eta0), 0.0],
-        method="DOP853",
-        rtol=RICCATI_RTOL,
-        atol=RICCATI_ATOL,
-        dense_output=True,
-        events=[escape],
-    )
-    if sol.status == 1 and sol.t_events[0].size:
-        raise RiccatiBlowUpError(float(sol.t_events[0][0]))
-    if not sol.success:
+    sol = dop853(rhs, x0, x1, [float(eta0), 0.0], RICCATI_RTOL, RICCATI_ATOL, event=escape)
+    if sol.t_event is not None:
+        raise RiccatiBlowUpError(float(sol.t_event))
+    if sol.message is not None:
         raise NumericalError(f"Riccati integration failed: {sol.message}")
-    return RiccatiSolution(x=sol.t, eta_values=sol.y[0], _dense=sol.sol, x_start=x0)
+    return RiccatiSolution(x=sol.t, eta_values=sol.y[0], _dense=sol, x_start=x0)
 
 
 def reconstruct_solution(rsol: RiccatiSolution, mu: float, x, m0: float = 1.0):

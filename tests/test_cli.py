@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import shlex
@@ -389,6 +390,25 @@ class TestExitCodes:
         )
         assert proc.stderr == ""
 
+    def test_two_sided_positive_drift_with_upward_jumps_is_never_ruined(self, tmp_path):
+        # solve used to print Psi = 0.687, 0.879, 0.948 at x = 0, 1, 2 with
+        # exit 0: collocation imposed M(0) = 1, a condition of downward jumps.
+        model = {"drift": {"kind": "constant", "c": 1.0}, "jump_rate": 0.5, "kill_rate": 0.5,
+                 "jumps": {"beta": [1.0], "B": [[-1.0]]}, "jump_direction": "upward"}
+        cfg = dict(CONST_CONFIG, model=model, problem={"lower": 0.0, "upper": 3.0},
+                   grid={"start": 0.0, "stop": 3.0, "points": 4})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1:] for r in rows] == [["0", "0", "ode_bvp"]] * 4
+        proc = run_cli(["simulate", "--config", path, "--paths", "2000"])
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == (
+            "estimate 0 +- 0 (ruined 0, escaped 2000, censored 0, killed 0; target two_sided_ruin_below)\n"
+        )
+        assert proc.stderr == ""
+
     def test_overshoot_penalty_solve_is_refused(self, tmp_path, capsys):
         # solve used to write the unpenalised Psi(1) = 0.184 with exit 0
         out = tmp_path / "s.csv"
@@ -701,6 +721,10 @@ class TestOutputDirectory:
         assert e.value.path == "$.output.directory"
 
 
+# A small compare: its solvers, on few Monte Carlo paths.
+COMPARE_STEP = ["compare", "--paths", "2000", "--mc-points", "3"]
+
+
 def loaded_scipy(code):
     """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
     probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -709,8 +733,36 @@ def loaded_scipy(code):
     return proc.stdout.splitlines()[-1]
 
 
+def scipy_imports(path):
+    """``module.function`` of every scipy import in a source file (the
+    innermost enclosing function, or ``<module>``)."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: inner functions come later and win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            hits.append(f"{path.stem}.{owner.get(node, '<module>')}")
+    return hits
+
+
+def test_scipy_is_imported_only_by_collocation():
+    src = Path(cli.__file__).resolve().parent
+    hits = [hit for path in sorted(src.glob("*.py")) for hit in scipy_imports(path)]
+    assert hits == ["passage_model._collocation"]
+
+
 class TestScipyStaysUnloaded:
-    """Steps that never integrate an ODE or exponentiate a matrix run on numpy alone."""
+    """Every step but collocation runs on numpy alone."""
 
     def test_import_cli(self):
         assert loaded_scipy("import pdmpruin.cli") == "[]"
@@ -723,16 +775,24 @@ class TestScipyStaysUnloaded:
                 "assert d.phi(0.5) == -1.25 and d.dphi(1.5) == -0.5")
         assert loaded_scipy(code) == "[]"
 
+    def test_phase_type_tail_and_density(self):
+        code = ("from pdmpruin.phase_type import erlang, tail, density\n"
+                "pt = erlang(3, 3.0)\n"
+                "assert 0 < tail(pt, 1.0) < 1 and density(pt, 1.0) > 0")
+        assert loaded_scipy(code) == "[]"
+
     @pytest.mark.parametrize(
         "config, steps",
         [
-            (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"]]),
-            (CONST_CONFIG, [["solve"], ["simulate", "--paths", "2000"]]),
+            (FIG1_CONFIG, [["check-solvability"], ["solve"], ["simulate", "--paths", "2000"],
+                           COMPARE_STEP]),
+            (with_value(FIG1_CONFIG, ("model", "kill_rate"), 0.0), [["solve"]]),
+            (CONST_CONFIG, [["solve"], ["simulate", "--paths", "2000"], COMPARE_STEP]),
             (ERLANG3_CONST_CONFIG, [["solve"]]),
-            (CUBIC_TABLE_CONFIG, [["check-solvability"], ["check-integrability"],
-                                  ["simulate", "--paths", "2000"]]),
+            (CUBIC_TABLE_CONFIG, [["check-solvability"], ["check-integrability"], ["solve"],
+                                  ["simulate", "--paths", "2000"], COMPARE_STEP]),
         ],
-        ids=["relaxing", "constant", "constant-erlang3", "cubic-table"],
+        ids=["relaxing", "relaxing-zero-kill", "constant", "constant-erlang3", "cubic-table"],
     )
     def test_numpy_only_steps(self, tmp_path, config, steps):
         path = write_config(tmp_path, config)

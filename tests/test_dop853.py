@@ -1,0 +1,114 @@
+"""The numpy DOP853 port against scipy's ``solve_ivp(method="DOP853")``."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from pdmpruin import _dop853
+from pdmpruin.passage_model import (
+    ModelSpec,
+    NumericalError,
+    SegerdahlDrift,
+    _integrate_columns,
+    assemble_system,
+)
+from pdmpruin.phase_type import erlang, exponential
+from pdmpruin.riccati import (
+    RICCATI_ATOL,
+    RICCATI_BLOWUP,
+    RICCATI_RTOL,
+    RiccatiBlowUpError,
+    riccati_numeric,
+    to_riccati,
+)
+
+FIG1 = dict(K=0.75, lam=0.5, q=0.5, mu=1.5)
+
+
+def relaxing_model(jumps):
+    return ModelSpec(SegerdahlDrift(**FIG1), FIG1["lam"], FIG1["q"], jumps)
+
+
+def riccati_rhs(coeffs):
+    def rhs(x, y):
+        e = y[0]
+        return [coeffs.b0(x) + coeffs.b1(x) * e + coeffs.b2(x) * e * e, e]
+
+    return rhs
+
+
+def escape(x, y):
+    return abs(y[0]) - RICCATI_BLOWUP
+
+
+def scipy_dop853(fun, t0, t1, y0, rtol, atol, event=None):
+    if event is not None:
+        def event(x, y, _event=event):
+            return _event(x, y)
+
+        event.terminal, event.direction = True, 1
+    return solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+                     dense_output=True, events=None if event is None else [event])
+
+
+def assert_same_solution(ours, ref):
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+    # Array and scalar dense output, at the nodes (the piece that ends
+    # there) and between them.
+    xs = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 501), ref.t])
+    assert np.array_equal(ours(xs), ref.sol(xs))
+    for x in xs[::25]:
+        assert np.array_equal(ours(x), ref.sol(x))
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("rtol, atol", [(1e-11, 1e-13), (1e-8, 1e-10)])
+    @pytest.mark.parametrize("jumps", [exponential(1.5), erlang(3, 3.0)], ids=["exp", "erlang3"])
+    def test_relaxing_system(self, jumps, rtol, atol):
+        A = assemble_system(relaxing_model(jumps))
+        dim = jumps.n + 1
+
+        def fun(x, y):
+            return A(x) @ y
+
+        ours = _dop853.integrate(fun, 0.0, 5.0, np.ones(dim), rtol, atol)
+        assert ours.message is None
+        assert_same_solution(ours, scipy_dop853(fun, 0.0, 5.0, np.ones(dim), rtol, atol))
+
+    def test_riccati_right_hand_side(self):
+        fun = riccati_rhs(to_riccati(relaxing_model(exponential(1.5))))
+        ours = _dop853.integrate(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL, escape)
+        ref = scipy_dop853(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL, escape)
+        assert ours.t_event is None and ref.t_events[0].size == 0
+        assert_same_solution(ours, ref)
+
+    def test_blow_up_location(self):
+        # eta' = eta^2 from eta(0) = 1 has its pole at x = 1.
+        def fun(x, y):
+            return [y[0] * y[0]]
+
+        ours = _dop853.integrate(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL, escape)
+        ref = scipy_dop853(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL, escape)
+        assert ours.t_event == ref.t_events[0][0]
+        assert abs(ours.t_event - (1.0 - 1.0 / RICCATI_BLOWUP)) < 1e-9
+
+    def test_riccati_numeric_blow_up_is_reported_where_scipy_finds_it(self):
+        coeffs = to_riccati(relaxing_model(exponential(1.5)))
+        ref = scipy_dop853(riccati_rhs(coeffs), 0.0, 60.0, [-5.0, 0.0],
+                           RICCATI_RTOL, RICCATI_ATOL, escape)
+        assert ref.status == 1
+        with pytest.raises(RiccatiBlowUpError) as err:
+            riccati_numeric(coeffs, -5.0, (0.0, 60.0))
+        assert err.value.x_pole == ref.t_events[0][0]
+
+
+def test_integration_that_cannot_finish_is_numerical_error():
+    # y' = y / (1 - x)^3 overflows before x = 1: the step size collapses.
+    def A(x):
+        return np.array([[1.0 / (1.0 - x) ** 3]])
+
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalError, match="linear-system integration failed: Required step size"
+    ):
+        _integrate_columns(A, 0.0, 2.0, np.ones((1, 1)), 1e-11, 1e-13)

@@ -250,6 +250,24 @@ class TestMatrixExp:
             ref = sla.expm(M * 0.7)
             assert_allclose(ours, ref, rtol=1e-12, atol=1e-13)
 
+    def test_erlang3_tail_against_closed_form(self):
+        # P[C > x] = e^{-3x} (1 + 3x + (3x)^2 / 2) for Erlang-3 with rate 3.
+        pt = erlang(3, 3.0)
+        for x in np.linspace(0.0, 8.0, 161):
+            z = 3.0 * x
+            exact = math.exp(-z) * (1.0 + z + z * z / 2.0)
+            assert abs(tail(pt, x) - exact) <= 2e-15
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5, 1.5, 4.0, 40.0])
+    def test_every_pade_order_against_series(self, scale):
+        # The 1-norm picks Pade orders 3 to 13, with squaring at the largest
+        # scale; a diagonal plus nilpotent matrix has a finite series.
+        N = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]) * scale
+        d = -0.5 * scale
+        exact = math.exp(d) * (np.eye(3) + N + N @ N / 2.0)
+        got = matrix_exp(N + d * np.eye(3))
+        assert np.max(np.abs(got - exact)) <= 1e-14 * max(1.0, np.abs(exact).max())
+
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
             matrix_exp(np.array([[1e306]]), 10.0)
