@@ -9,39 +9,38 @@ every analytic result against independent ODE-integration and Monte Carlo
 oracles.
 """
 
-from .phase_type import PhaseType, matrix_exp
-from .passage_model import (
-    ConstantDrift,
-    SegerdahlDrift,
-    TabulatedDrift,
-    ModelSpec,
-    PassageProblem,
-    SolutionCurve,
-)
-from .lie_algebra import ClosureReport, closure, commutator, is_solvable
-from .riccati import asymptotic_rate, phi_k_closed_form, phi_k_drift
-from .mc_sim import SimConfig, PassageEstimate, estimate
+import importlib
+
+# The public names of each module.  A name is imported on first use
+# (PEP 562), so ``from pdmpruin import phase_type`` loads that module alone.
+_EXPORTS = {
+    "phase_type": ("PhaseType", "matrix_exp"),
+    "passage_model": (
+        "ConstantDrift",
+        "SegerdahlDrift",
+        "TabulatedDrift",
+        "ModelSpec",
+        "PassageProblem",
+        "SolutionCurve",
+    ),
+    "lie_algebra": ("ClosureReport", "closure", "commutator", "is_solvable"),
+    "riccati": ("asymptotic_rate", "phi_k_closed_form", "phi_k_drift"),
+    "mc_sim": ("SimConfig", "PassageEstimate", "estimate"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhaseType",
-    "matrix_exp",
-    "ConstantDrift",
-    "SegerdahlDrift",
-    "TabulatedDrift",
-    "ModelSpec",
-    "PassageProblem",
-    "SolutionCurve",
-    "ClosureReport",
-    "closure",
-    "commutator",
-    "is_solvable",
-    "asymptotic_rate",
-    "phi_k_closed_form",
-    "phi_k_drift",
-    "SimConfig",
-    "PassageEstimate",
-    "estimate",
-    "__version__",
-]
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

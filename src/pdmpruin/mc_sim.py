@@ -325,7 +325,7 @@ def _vector_crossing_times(drift: DriftSpec, x, level: float, side: str):
 def _vector_flow(drift: DriftSpec, x, dt, tol: float = 1e-10):
     """Vector version of :func:`flow` for the batch engine."""
     dt = np.asarray(dt, float)
-    if np.any(dt < 0):
+    if (dt < 0).any():
         raise ValueError("dt must be nonnegative")
     return drift.flow(np.asarray(x, float), dt, tol)
 
@@ -358,14 +358,12 @@ def _run_block(
     want_ruin = problem.estimand == "ruin_below"
     draw_kills = cfg.kill_mode == "horizon" and q > 0
 
-    alive = np.ones(n, dtype=bool)
     weights = np.zeros(n)
     counts = {"ruined": 0, "escaped": 0, "censored": 0, "killed": 0, "at_level": 0}
     overshoots = [np.empty(0)]
 
     def finish(idx, kind, tau, overshoot):
         """Settle finished paths: the one rule for the estimand's weight."""
-        alive[idx] = False
         counts[kind] += idx.size
         if kind == "ruined" and want_ruin:
             weights[idx] = np.exp(-q_w * tau - xi * overshoot)
@@ -373,7 +371,7 @@ def _run_block(
             weights[idx] = np.exp(-q_w * tau)
         if kind == "ruined" and collect_overshoots:
             jump_hits = overshoot > 0
-            if np.any(jump_hits):
+            if jump_hits.any():
                 overshoots.append(overshoot[jump_hits])
 
     if _ruin_verdict(model, problem) == "impossible":
@@ -392,82 +390,75 @@ def _run_block(
             finish(np.array([i]), kind, np.array([out.tau]), np.array([out.overshoot]))
         return weights, counts, np.concatenate(overshoots)
 
-    if draw_kills:
-        horizons = np.minimum(rng.exponential(1.0 / q, n), horizon)
-    else:
-        horizons = np.full(n, horizon)
-    killed_possible = horizons < horizon
-
+    # The unfinished paths in path order: id, position, clock and horizon.
+    ids = np.arange(n)
     x = np.full(n, float(cfg.x0))
     t = np.zeros(n)
+    if draw_kills:
+        hz = np.minimum(rng.exponential(1.0 / q, n), horizon)
+    else:
+        hz = np.full(n, horizon)
+    has_level = math.isfinite(level)
+    two_sided = math.isfinite(L)
 
     max_rounds = ROUND_BUDGET // max(n, 1) + 1000
     for _ in range(max_rounds):
-        idx = np.flatnonzero(alive)
-        far = x[idx] >= level
-        if np.any(far):
-            f_idx = idx[far]
-            counts["at_level"] += f_idx.size
-            finish(f_idx, "censored", t[f_idx], np.zeros(f_idx.size))
-            idx = idx[~far]
-        if idx.size == 0:
-            break
-        xi_cur = x[idx]
-        t_cur = t[idx]
-        waits = rng.exponential(1.0 / lam, idx.size)
-        t_low = _vector_crossing_times(drift, xi_cur, l, "below")
-        t_high = (
-            _vector_crossing_times(drift, xi_cur, L, "above")
-            if math.isfinite(L)
-            else np.full(idx.size, math.inf)
-        )
-        t_bdry = np.minimum(t_low, t_high)
-        remain = horizons[idx] - t_cur
+        if has_level:
+            far = x >= level
+            if far.any():
+                f_ids = ids[far]
+                counts["at_level"] += f_ids.size
+                finish(f_ids, "censored", t[far], np.zeros(f_ids.size))
+                near = ~far
+                ids, x, t, hz = ids[near], x[near], t[near], hz[near]
+                if ids.size == 0:
+                    break
+        waits = rng.exponential(1.0 / lam, ids.size)
+        t_low = _vector_crossing_times(drift, x, l, "below")
+        if two_sided:
+            t_bdry = np.minimum(t_low, _vector_crossing_times(drift, x, L, "above"))
+        else:
+            t_bdry = t_low
+        remain = hz - t
 
         hit_bdry = t_bdry <= np.minimum(waits, remain)
-        if np.any(hit_bdry):
-            hit = idx[hit_bdry]
-            low_first = t_low[hit_bdry] <= t_high[hit_bdry]
-            tau = t_cur[hit_bdry] + t_bdry[hit_bdry]
-            sub_low = hit[low_first]
-            if sub_low.size:
-                finish(sub_low, "ruined", tau[low_first], np.zeros(sub_low.size))
-            sub_high = hit[~low_first]
-            if sub_high.size:
-                finish(sub_high, "escaped", tau[~low_first], np.zeros(sub_high.size))
-
-        cont = ~hit_bdry
-        timed_out = cont & (waits >= remain)
-        if np.any(timed_out):
-            out_idx = idx[timed_out]
-            was_killed = killed_possible[out_idx]
-            k_idx = out_idx[was_killed]
-            c_idx = out_idx[~was_killed]
-            if k_idx.size:
-                finish(k_idx, "killed", horizons[k_idx], np.zeros(k_idx.size))
-            if c_idx.size:
-                finish(c_idx, "censored", horizons[c_idx], np.zeros(c_idx.size))
-
-        go = cont & ~timed_out
-        if not np.any(go):
-            continue
-        g_idx = idx[go]
-        x_new = _vector_flow(drift, xi_cur[go], waits[go], cfg.flow_tolerance)
-        t_new = t_cur[go] + waits[go]
-        jumps = ph_sample(model.jumps, rng, size=g_idx.size)
-        if down:
-            x_new = x_new - jumps
-            crossed = x_new < l
-            if np.any(crossed):
-                finish(g_idx[crossed], "ruined", t_new[crossed], l - x_new[crossed])
-        else:
-            x_new = x_new + jumps
-            crossed = x_new > L
-            if np.any(crossed):
-                finish(g_idx[crossed], "escaped", t_new[crossed], x_new[crossed] - L)
-        keep = ~crossed
-        x[g_idx[keep]] = x_new[keep]
-        t[g_idx[keep]] = t_new[keep]
+        stop = hit_bdry | (waits >= remain)
+        if stop.any():
+            if hit_bdry.any():
+                hit = ids[hit_bdry]
+                tau = t[hit_bdry] + t_bdry[hit_bdry]
+                low_first = t_low[hit_bdry] <= t_bdry[hit_bdry]
+                if low_first.any():
+                    finish(hit[low_first], "ruined", tau[low_first], np.zeros(low_first.sum()))
+                if not low_first.all():
+                    high_first = ~low_first
+                    finish(hit[high_first], "escaped", tau[high_first], np.zeros(high_first.sum()))
+            timed_out = stop & ~hit_bdry
+            if timed_out.any():
+                killed = timed_out & (hz < horizon)
+                censored = timed_out & ~killed
+                if killed.any():
+                    finish(ids[killed], "killed", hz[killed], np.zeros(killed.sum()))
+                if censored.any():
+                    finish(ids[censored], "censored", hz[censored], np.zeros(censored.sum()))
+            if stop.all():
+                break
+            go = ~stop
+            ids, x, t, hz, waits = ids[go], x[go], t[go], hz[go], waits[go]
+        x = _vector_flow(drift, x, waits, cfg.flow_tolerance)
+        t = t + waits
+        jumps = ph_sample(model.jumps, rng, size=ids.size)
+        x = x - jumps if down else x + jumps
+        crossed = x < l if down else x > L
+        if crossed.any():
+            if down:
+                finish(ids[crossed], "ruined", t[crossed], l - x[crossed])
+            else:
+                finish(ids[crossed], "escaped", t[crossed], x[crossed] - L)
+            keep = ~crossed
+            ids, x, t, hz = ids[keep], x[keep], t[keep], hz[keep]
+            if ids.size == 0:
+                break
     else:
         raise NumericalError("batch engine exceeded its round budget")
 

@@ -1037,6 +1037,13 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
                     f"{n_decay}, expected {n}"
                 )
             x_end = float(grid[-1]) + math.log(1e10) / (-rate)
+            dom_end = model.drift.sign_domain[1]
+            if x_end > dom_end:
+                raise NumericalError(
+                    f"truncation point X_max = {x_end:g} lies past the end {dom_end:g} of "
+                    f"the drift's sign domain: the slowest decay rate {-rate:g} is too "
+                    "small to truncate the problem inside it"
+                )
             w_non = _nonstable_left_row(A(x_end))
 
             def bc(Ya, Yb):

@@ -105,18 +105,22 @@ class PhaseType:
 
     @cached_property
     def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sampler tables: exit rates, the cumulative embedded chain (row i
-        over phases 0..n-1 then absorption) and the cumulative start law."""
+        """Sampler tables: the mean holding time of each phase; the
+        cumulative embedded chain, transposed, so that ``cumT[j][i]`` is the
+        chance that phase i moves next to one of phases 0..j (phase n is
+        absorption); and the cumulative start law."""
         if np.any(self.beta < 0) or not self.beta.sum() > 0:
             raise ValueError("beta must be a probability vector to sample")
         n = self.n
         exit_rates = -np.diag(self.B)
+        if not np.all(exit_rates > 0):
+            raise ValueError("B must have a negative diagonal to sample")
         P = np.empty((n, n + 1))
         P[:, :n] = (self.B - np.diag(np.diag(self.B))) / exit_rates[:, None]
         P[:, n] = self.b / exit_rates
         start = np.cumsum(self.beta / self.beta.sum())
         start /= start[-1]
-        return exit_rates, np.cumsum(P, axis=1), start
+        return 1.0 / exit_rates, np.ascontiguousarray(np.cumsum(P, axis=1).T), start
 
     def mean(self) -> float:
         """First moment, beta @ (-B)^(-1) @ 1."""
@@ -354,21 +358,32 @@ def sample(pt: PhaseType, rng: np.random.Generator, size: int | None = None):
     times with the diagonal rates, discrete phase transitions with the
     embedded-chain probabilities.  The caller owns ``rng``; concurrent
     callers must each use their own generator.
+
+    A one-phase law is drawn directly, as one exponential per draw; it
+    still spends the start and absorption uniforms of the chain walk, so
+    the generator's stream is the same either way.
     """
     n = pt.n
     N = 1 if size is None else int(size)
-    exit_rates, cumP, start = pt._chain
+    holding, cumT, start = pt._chain
+    if n == 1:
+        rng.random(N)
+        total = rng.exponential(holding[0], N)
+        rng.random(N)
+        return float(total[0]) if size is None else total
     # The inverse-CDF draw Generator.choice(n, size=N, p=beta) makes.
-    phase = start.searchsorted(rng.random(N), side="right")
+    cur = start.searchsorted(rng.random(N), side="right")
     total = np.zeros(N)
-    active = np.ones(N, dtype=bool)
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        cur = phase[idx]
-        total[idx] += rng.exponential(1.0 / exit_rates[cur])
-        u = rng.random(idx.size)
-        nxt = (u[:, None] < cumP[cur]).argmax(axis=1)
-        absorbed = nxt == n
-        active[idx[absorbed]] = False
-        phase[idx[~absorbed]] = nxt[~absorbed]
+    live = np.arange(N)
+    while live.size:
+        # exponential(scale) is scale * standard_exponential(), draw for draw
+        total[live] += rng.standard_exponential(live.size) * holding[cur]
+        # The first j with u < cumP[cur, j], else 0, as argmax over the row
+        # would give: columns from last to first, the earliest hit wins.
+        u = rng.random(live.size)
+        nxt = np.zeros(live.size, dtype=np.intp)
+        for j in range(n, -1, -1):
+            nxt[u < cumT[j][cur]] = j
+        stay = nxt != n
+        live, cur = live[stay], nxt[stay]
     return float(total[0]) if size is None else total

@@ -480,6 +480,24 @@ class TestExitCodes:
         assert "numerical failure: flow left the drift table" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_truncation_point_past_the_table_is_numerical_error(self, tmp_path, capsys):
+        # Drift 1 against Erlang-3 jumps of mean 1 at zero kill: the slowest
+        # decay rate is ~3e-8, so X_max lands far past the end of the table.
+        cfg = with_value(
+            CONST_CONFIG,
+            ("model", "drift"),
+            {"kind": "tabulated", "x": [0.0, 300.0], "values": [1.0, 1.0], "interpolation": "linear"},
+        )
+        cfg["model"]["jumps"] = ERLANG3_JUMPS
+        out = tmp_path / "s.csv"
+        argv = ["solve", "--config", write_config(tmp_path, cfg), "--output", str(out), "--quiet"]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: truncation point X_max = 8.129")
+        assert "past the end 300 of the drift's sign domain" in err
+        assert "slowest decay rate 2.8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
     def test_bad_option_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -725,9 +743,9 @@ class TestOutputDirectory:
 COMPARE_STEP = ["compare", "--paths", "2000", "--mc-points", "3"]
 
 
-def loaded_scipy(code):
-    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
-    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def loaded_modules(code, package):
+    """The ``package`` modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -761,11 +779,43 @@ def test_scipy_is_imported_only_by_collocation():
     assert hits == ["passage_model._collocation"]
 
 
+class TestLazyPackage:
+    """``pdmpruin`` imports the module of each public name on first use."""
+
+    def test_submodule_import_loads_that_module_alone(self):
+        got = loaded_modules("from pdmpruin import phase_type", "pdmpruin")
+        assert got == str(["pdmpruin", "pdmpruin.phase_type"])
+
+    def test_every_public_name_resolves(self):
+        import pdmpruin
+
+        assert pdmpruin.__all__ == [
+            "PhaseType", "matrix_exp", "ConstantDrift", "SegerdahlDrift", "TabulatedDrift",
+            "ModelSpec", "PassageProblem", "SolutionCurve", "ClosureReport", "closure",
+            "commutator", "is_solvable", "asymptotic_rate", "phi_k_closed_form", "phi_k_drift",
+            "SimConfig", "PassageEstimate", "estimate", "__version__",
+        ]
+        code = ("import pdmpruin\n"
+                "for name in pdmpruin.__all__:\n"
+                "    getattr(pdmpruin, name)\n"
+                "from pdmpruin import *\n"
+                "assert estimate is pdmpruin.mc_sim.estimate and __version__ == '0.1.0'\n"
+                "assert not hasattr(pdmpruin, 'no_such_name')")
+        loaded_modules(code, "pdmpruin")
+
+    def test_import_cli_loads_every_module(self):
+        # cli binds the names it calls at import; the tracer wraps them there
+        modules = ["cli", "lie_algebra", "mc_sim", "passage_model", "phase_type", "riccati",
+                   "serialization"]
+        got = loaded_modules("import pdmpruin.cli", "pdmpruin")
+        assert got == str(["pdmpruin", *(f"pdmpruin.{m}" for m in modules)])
+
+
 class TestScipyStaysUnloaded:
     """Every step but collocation runs on numpy alone."""
 
     def test_import_cli(self):
-        assert loaded_scipy("import pdmpruin.cli") == "[]"
+        assert loaded_modules("import pdmpruin.cli", "scipy") == "[]"
 
     @pytest.mark.parametrize("rule", ["linear", "cubic"])
     def test_tabulated_drift(self, rule):
@@ -773,13 +823,13 @@ class TestScipyStaysUnloaded:
         code = ("from pdmpruin.passage_model import TabulatedDrift\n"
                 f"d = TabulatedDrift((0.0, 1.0, 2.0), (-1.0, -1.5, -2.0), {rule!r})\n"
                 "assert d.phi(0.5) == -1.25 and d.dphi(1.5) == -0.5")
-        assert loaded_scipy(code) == "[]"
+        assert loaded_modules(code, "scipy") == "[]"
 
     def test_phase_type_tail_and_density(self):
         code = ("from pdmpruin.phase_type import erlang, tail, density\n"
                 "pt = erlang(3, 3.0)\n"
                 "assert 0 < tail(pt, 1.0) < 1 and density(pt, 1.0) > 0")
-        assert loaded_scipy(code) == "[]"
+        assert loaded_modules(code, "scipy") == "[]"
 
     @pytest.mark.parametrize(
         "config, steps",
@@ -799,7 +849,7 @@ class TestScipyStaysUnloaded:
         calls = [[*step, "--config", path, "--output", str(tmp_path / step[0]), "--quiet"]
                  for step in steps]
         code = f"from pdmpruin.cli import main\nassert [main(a) for a in {calls!r}] == {[0] * len(calls)!r}"
-        assert loaded_scipy(code) == "[]"
+        assert loaded_modules(code, "scipy") == "[]"
 
 
 def test_benchmark_tracer_labels_the_initial_value_solve():

@@ -451,6 +451,63 @@ class TestLundbergLevel:
         assert est.censored_weight_bound == 1.0
 
 
+def _stream_pin_cases():
+    one = PassageProblem(lower=0.0)
+    tab = ModelSpec(tabulated_fig1_drift(), FIG1["lam"], FIG1["q"], exponential(FIG1["mu"]))
+    upward = ModelSpec(ConstantDrift(-0.5), 1.0, 0.2, exponential(2.0), "upward")
+    # name: (model, problem, x0, n_paths, seed, SimConfig options)
+    return {
+        "lundberg": (const_model(), one, 1.0, 10000, 4, {}),
+        "past_level": (const_model(), one, 40.0, 100, 0, {}),
+        "two_sided_ruin": (const_model(), PassageProblem(0.0, 2.0, "ruin_below"), 1.0, 5000, 21, {}),
+        "exit_above_upward": (upward, PassageProblem(0.0, 2.0, "exit_above"), 1.0, 5000, 13, {}),
+        "horizon_kill": (fig1_model(), one, 1.0, 5000, 4, {"kill_mode": "horizon"}),
+        "relaxing": (fig1_model(), one, 2.0, 10000, 6, {}),
+        "erlang3": (ModelSpec(ConstantDrift(1.0), 0.5, 0.0, ERLANG3), one, 1.0, 5000, 7, {}),
+        "coxian3": (ModelSpec(ConstantDrift(1.0), 0.5, 0.1, COXIAN3), one, 1.0, 5000, 8, {}),
+        "impossible": (ModelSpec(ConstantDrift(1.0), 0.5, 0.0, ERLANG3, "upward"), one, 1.0, 500, 3, {}),
+        "tabulated": (tab, one, 1.0, 300, 5, {}),
+    }
+
+
+# (mean, std_error, n_ruined, n_escaped, n_censored, n_killed, overshoot
+# count, overshoot sum), recorded with the engine of commit e791a20.
+STREAM_PINS = {
+    "lundberg": (0.1859, 0.0038904540304772043, 1859, 0, 8141, 0, 1859, 953.4895590051416),
+    "past_level": (0.0, 0.0, 0, 0, 100, 0, 0, 0.0),
+    "two_sided_ruin": (0.1272, 0.004712586730739174, 636, 4364, 0, 0, 636, 294.1710754723114),
+    "exit_above_upward": (0.2636351483672338, 0.005062248271944362, 3034, 1966, 0, 0, 0, 0.0),
+    "horizon_kill": (0.4736, 0.00706191065621927, 2368, 0, 0, 2632, 1319, 866.3157055280641),
+    "relaxing": (0.3048858873886586, 0.0016108734189934466, 10000, 0, 0, 0, 4616, 3100.713175793679),
+    "erlang3": (0.2434, 0.006069485623275355, 1217, 0, 3783, 0, 1217, 624.9416864224459),
+    "coxian3": (0.25731481027749215, 0.005534907935062281, 1620, 0, 3380, 0, 1620, 1624.324578085225),
+    "impossible": (0.0, 0.0, 0, 500, 0, 0, 0, 0.0),
+    "tabulated": (0.47059542316181097, 0.009240621245662054, 300, 0, 0, 0, 125, 81.20878195060598),
+}
+
+
+class TestStreamPin:
+    """The engine's output for a fixed seed, bit for bit.
+
+    One case per branch of the block loop: level censoring, a start past
+    the level, two-sided ruin and exit, upward jumps, explicit kill
+    horizons, the relaxing drift, multi-phase jumps, impossible ruin and
+    the per-path engine of tabulated drifts.  A change in the order or the
+    number of draws, or in the arithmetic of a path, moves these numbers.
+    """
+
+    @pytest.mark.parametrize("name", sorted(STREAM_PINS))
+    def test_estimate_is_unchanged(self, name):
+        model, problem, x0, n, seed, kw = _stream_pin_cases()[name]
+        cfg = SimConfig(model=model, problem=problem, x0=x0, n_paths=n, seed=seed, **kw)
+        est = estimate(cfg, collect_jump_overshoots=True)
+        got = (
+            est.mean, est.std_error, est.n_ruined, est.n_escaped, est.n_censored,
+            est.n_killed, est.overshoots.size, float(est.overshoots.sum()),
+        )
+        assert got == STREAM_PINS[name]
+
+
 class TestPassageEstimateType:
     def test_counts_and_dict(self):
         est = PassageEstimate(0.5, 0.01, 100, 60, 0, 40, 0, "psi_q")

@@ -159,16 +159,17 @@ def uncached_sample(pt, rng, size=None):
 
 
 class TestSample:
-    @pytest.mark.parametrize("size", [None, 1, 7, 20000])
+    @pytest.mark.parametrize("size", [None, 0, 1, 7, 20000])
     @pytest.mark.parametrize(
         "pt",
         [
             exponential(2.0),
+            PhaseType([1.0], [[-0.3]]),
             erlang(3, 3.0),
             coxian([3.0, 2.0, 1.0], [0.7, 0.5]),
             PhaseType([0.1, 0.0, 0.6, 0.3], np.diag([-1.0, -2.0, -4.0, -0.5])),
         ],
-        ids=["exponential", "erlang3", "coxian3", "hyperexponential"],
+        ids=["exponential", "one-phase", "erlang3", "coxian3", "hyperexponential"],
     )
     def test_stream_matches_uncached_sampler(self, pt, size):
         for seed in (0, 17):
@@ -184,6 +185,13 @@ class TestSample:
             pt = PhaseType(beta, [[-1.0, 1.0], [0.0, -1.0]])
             with pytest.raises(ValueError, match="probability vector"):
                 sample(pt, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("B", [[[0.5]], [[-1.0, 1.0], [0.0, 0.0]]], ids=["one-phase", "two-phase"])
+    def test_nonnegative_diagonal_rejected(self, B):
+        # a holding time needs a positive exit rate in every phase
+        pt = PhaseType([1.0] + [0.0] * (len(B) - 1), B)
+        with pytest.raises(ValueError, match="negative diagonal"):
+            sample(pt, np.random.default_rng(0), size=3)
 
     def test_exponential_mean(self):
         rng = np.random.default_rng(11)
