@@ -1,5 +1,5 @@
 """Ruin / first-passage solvers for piecewise deterministic processes with
-phase-type downward jumps.
+phase-type jumps, downward or upward.
 
 The package decides integrability of the first-passage linear ODE system
 through a matrix Lie-algebra closure computation, evaluates the closed-form

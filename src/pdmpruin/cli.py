@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmpruin",
         description="First-passage solvers for piecewise deterministic processes "
-        "with phase-type downward jumps.",
+        "with phase-type jumps, downward or upward.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

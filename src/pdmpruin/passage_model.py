@@ -1,9 +1,10 @@
 """First-passage model assembly, closed forms, and the ODE boundary-value oracle.
 
 The killed ruin probability Psi and the mid-jump companions M_1..M_n of a
-piecewise deterministic process with phase-type downward jumps satisfy a
-linear (n+1)-dimensional ODE system whose matrix is
-``(lam/phi(x)) * T1 + T2`` (see :func:`lie_algebra.build_generators`).
+piecewise deterministic process with phase-type downward jumps (upward ones
+by the reflection x -> -x) satisfy a linear (n+1)-dimensional ODE system
+whose matrix is ``(lam/phi(x)) * T1 + T2`` (see
+:func:`lie_algebra.build_generators`).
 This module holds the drift and model types, assembles that system,
 evaluates the closed forms available for one-phase jumps, and provides a
 numerical boundary-value solver usable for any phase dimension: an
@@ -855,9 +856,9 @@ def _net_profit(model: ModelSpec) -> bool:
 def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
     """Whether a constant-drift ``ruin_below`` problem has a known answer.
 
-    * ``"impossible"``: positive drift with upward jumps never moves down,
-      so ruin never happens (Psi = M = 0), whatever the kill rate and
-      whether or not there is an upper level.
+    * ``"impossible"``: upward jumps with positive drift are the reflection
+      y = -x of downward jumps with negative drift posed as exit above,
+      which never moves up: Psi = M = 0, for any kill rate and upper level.
     * One-sided at zero kill with downward jumps, ``"certain"`` without net
       profit (Psi = M = 1), and ``"lundberg"``-bounded with it:
       psi(u) <= e^{-R u}, with R the slowest decay rate of the constant
@@ -941,11 +942,17 @@ BVP_BC_TOL = 1e-8
 def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     """Numerical oracle for the passage system with the posed boundary data.
 
-    With negative drift and downward jumps ruin from the lower level is
-    immediate, so Psi(l) = M(l) = 1 and the system is integrated forward as
-    an initial-value problem (a finite upper level changes nothing since it
-    cannot be reached; exit above is impossible).  Upward jumps raise
-    :class:`NumericalError` there: M(l) = 1 does not hold for them.
+    Upward jumps are solved as downward ones: the reflection y = -x turns
+    the system into dY/dy = -A(-y) Y, the downward one with drift -phi(-y)
+    on [-L, -l], and swaps ``ruin_below`` and ``exit_above``; the results
+    are read back reversed.  The dual risk model (negative drift, upward
+    jumps, no upper level) reflects to no finite lower level and raises
+    :class:`NumericalError`.
+
+    With negative drift ruin from the lower level is immediate, so
+    Psi(l) = M(l) = 1 and the system is integrated forward as an
+    initial-value problem (a finite upper level changes nothing since it
+    cannot be reached), and exit above is impossible: Psi = M = 0.
 
     With constant positive drift and no upper level the system matrix A is
     constant, and the one-sided ``ruin_below`` problem is solved exactly
@@ -955,9 +962,8 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     pointwise bound on the rounding error of that exact solution, built
     from the eigen-residuals and the conditioning of the eigenbasis.  At
     zero kill without net profit (c <= lam E[C]) ruin is certain and
-    Psi = M = 1; with upward jumps it is impossible and Psi = M = 0, for
-    any kill rate, with or without an upper level.  A near-defective A,
-    whose bound would exceed ``BVP_BC_TOL``, goes to collocation below.
+    Psi = M = 1.  A near-defective A, whose bound would exceed
+    ``BVP_BC_TOL``, goes to collocation below.
 
     Every other positive-drift problem is the same linear two-point problem
     on [l, x_end], solved by collocation; only the boundary conditions
@@ -996,26 +1002,32 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     if phis.max() > 0 and phis.min() < 0:
         raise ValueError("drift changes sign on the problem domain")
 
-    verdict = _ruin_verdict(model, problem) if phis[0] > 0 else None
+    # Upward jumps: solve the downward problem reflected by y = -x.  x is the
+    # caller's grid, and back the order that reads the results back onto it.
+    positive, exit_above = phis[0] > 0, problem.estimand == "exit_above"
+    x, back = grid, slice(None)
+    if model.jump_direction == "upward":
+        A_up = A
+        A = lambda y: -A_up(-y)
+        l, L, grid, back = -L, -l, -grid[::-1], slice(None, None, -1)
+        positive, exit_above = not positive, not exit_above
+
+    verdict = _ruin_verdict(model, problem) if positive else "impossible" if exit_above else None
     if verdict in ("certain", "impossible"):
-        # Psi = M = 0 solves any linear system and meets Psi(L) = 0, and at
-        # zero kill A 1 = 0, so Psi = M = 1 solves this one.
+        # Psi = M = 0 solves any linear system, and at zero kill A 1 = 0, so
+        # Psi = M = 1 solves this one.
         Y = np.full((dim, grid.size), 1.0 if verdict == "certain" else 0.0)
-        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", np.zeros(grid.size), 0.0)
-    if phis[0] > 0 and model.drift.kind == "constant" and problem.upper is None:
+        return SolutionCurve(x, Y[0], Y[1:].T, "ode_bvp", np.zeros(grid.size), 0.0)
+    if math.isinf(l):
+        raise NumericalError("the dual risk model (negative drift, upward jumps, no upper "
+                             "level) is not solved: its reflection has no finite lower level")
+    if positive and model.drift.kind == "constant" and math.isinf(L):
         exact = _stable_eigen_solution(A(l), grid - l)
         if exact is not None:
             Y, err, bres = exact
             return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, bres)
 
-    if phis[0] < 0:
-        if model.jump_direction == "upward":
-            raise NumericalError(
-                "negative drift with upward jumps: M(l) = 1 holds only for downward "
-                "jumps, so the initial-value solve does not apply"
-            )
-        if problem.estimand == "exit_above":
-            raise ValueError("exit above is impossible with negative drift and downward jumps")
+    if not positive:
 
         def compose(rt, at):
             solution = _integrate_columns(A, l, float(grid[-1]), np.ones(dim)[None, :], rt, at)
@@ -1024,20 +1036,21 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     else:
         if math.isfinite(L):
             x_end = L
-            m_l = 0.0 if problem.estimand == "exit_above" else 1.0  # and Psi(L) = 1 - M(l)
+            m_l = 0.0 if exit_above else 1.0  # and Psi(L) = 1 - M(l)
 
             def bc(Ya, Yb):
                 return np.concatenate([Ya[1:] - m_l, Yb[:1] - (1.0 - m_l)])
 
         else:
-            n_decay, rate = _decay_certificate(A(float(grid[-1]) + 1.0))
+            # Probe the decay rate inside the sign domain; X_max is checked against its end.
+            dom_end = model.drift.sign_domain[1]
+            n_decay, rate = _decay_certificate(A(min(grid[-1] + 1.0, 0.5 * (grid[-1] + dom_end))))
             if n_decay != n:
                 raise NumericalError(
                     "truncation certificate failure: decaying eigenspace has dimension "
                     f"{n_decay}, expected {n}"
                 )
             x_end = float(grid[-1]) + math.log(1e10) / (-rate)
-            dom_end = model.drift.sign_domain[1]
             if x_end > dom_end:
                 raise NumericalError(
                     f"truncation point X_max = {x_end:g} lies past the end {dom_end:g} of "
@@ -1082,11 +1095,11 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     if bres > BVP_BC_TOL:
         raise NumericalError(f"boundary residual {bres:.3e} exceeds {BVP_BC_TOL:.1e}")
     return SolutionCurve(
-        grid=grid,
-        psi=vals[0],
-        m=vals[1:].T,
+        grid=x,
+        psi=vals[0, back],
+        m=vals[1:, back].T,
         method="ode_bvp",
-        error_estimate=err,
+        error_estimate=err[back],
         boundary_residual=float(bres),
     )
 

@@ -341,14 +341,25 @@ class TestExitCodes:
         assert main(["no-such-subcommand"]) == EXIT_CONFIG
         capsys.readouterr()
 
-    def test_impossible_problem_is_numerical_error(self, tmp_path, capsys):
+    def test_impossible_problem_answers_zero(self, tmp_path, capsys):
+        # Negative drift with downward jumps never moves up, so exit above is
+        # impossible: Psi = M = 0.  solve used to exit 2 here.
         cfg = json.loads(json.dumps(FIG1_CONFIG))
         cfg["problem"]["upper"] = 2.0
         cfg["problem"]["estimand"] = "exit_above"
         cfg["grid"] = {"start": 0.0, "stop": 2.0, "points": 11}
         path = write_config(tmp_path, cfg)
-        assert main(["solve", "--config", path, "--quiet"]) == EXIT_NUMERICAL
-        assert "impossible" in capsys.readouterr().err
+        out = tmp_path / "s.json"
+        argv = ["solve", "--config", path, "--output", str(out), "--format", "json", "--quiet"]
+        assert main(argv) == EXIT_OK
+        curve = json.loads(out.read_text())
+        assert curve["psi"] == [0.0] * 11 and curve["m"] == [[0.0]] * 11
+        assert curve["error_estimate"] == [0.0] * 11 and curve["boundary_residual"] == 0.0
+        assert main(["simulate", "--config", path, "--paths", "2000"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "estimate 0 +- 0 (ruined 2000, escaped 0, censored 0, killed 0; "
+            "target two_sided_exit_above)\n"
+        )
 
     @pytest.mark.parametrize("jumps", [{"beta": [1.0], "B": [[-1.0]]}, ERLANG3_JUMPS],
                              ids=["exp", "erlang3"])
@@ -389,6 +400,43 @@ class TestExitCodes:
             "estimate 0 +- 0 (ruined 0, escaped 2000, censored 0, killed 0; target psi_q)\n"
         )
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("jumps", [{"beta": [1.0], "B": [[-1.0]]}, ERLANG3_JUMPS],
+                             ids=["exp", "erlang3"])
+    def test_upward_exit_above_agrees_with_simulate(self, tmp_path, capsys, jumps):
+        # solve used to print psi(0.5) = 0.0206 and M = -0.0099 with Exp(1)
+        # jumps, and psi(0.5) ~ 0 with Erlang-3, where Monte Carlo gives 0.41.
+        model = {"drift": {"kind": "constant", "c": 1.0}, "jump_rate": 0.5, "kill_rate": 0.5,
+                 "jumps": jumps, "jump_direction": "upward"}
+        cfg = dict(CONST_CONFIG, model=model,
+                   problem={"lower": 0.0, "upper": 3.0, "estimand": "exit_above"},
+                   grid={"start": 0.0, "stop": 3.0, "points": 7})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
+        rows = [[float(v) for v in line.split(",")[:-1]] for line in out.read_text().splitlines()[1:]]
+        assert rows[1][0] == 0.5
+        assert all(0.0 <= v <= 1.0 for row in rows for v in row[1:])
+        argv = ["simulate", "--config", path, "--x0", "0.5", "--paths", "40000", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        words = capsys.readouterr().out.split()
+        mean, std_error = float(words[1]), float(words[3])
+        assert abs(rows[1][1] - mean) <= 3.0 * std_error
+
+    @pytest.mark.parametrize("drift, stop", [
+        ({"kind": "tabulated", "x": [0.0, 5.5], "values": [1.0, 1.0], "interpolation": "linear"}, 5.0),
+        ({"kind": "segerdahl", "K": math.exp(3.0), "lam": 0.5, "q": 0.5, "mu": 1.5}, 0.5),
+    ], ids=["table", "relaxing"])
+    def test_truncation_past_the_sign_domain_is_numerical_error(self, tmp_path, capsys, drift, stop):
+        # The decay certificate used to be probed at grid end + 1, past the
+        # sign domain's end (5.5, and the relaxing drift's root at 1), which
+        # raised a generic "outside the sign-constant domain".
+        model = {"drift": drift, "jump_rate": 1.0, "kill_rate": 0.5,
+                 "jumps": {"beta": [1.0], "B": [[-2.0]]}}
+        path = write_config(tmp_path, dict(CONST_CONFIG, model=model,
+                                           grid={"start": 0.0, "stop": stop, "points": 11}))
+        assert main(["solve", "--config", path, "--quiet"]) == EXIT_NUMERICAL
+        assert "X_max" in capsys.readouterr().err
 
     def test_two_sided_positive_drift_with_upward_jumps_is_never_ruined(self, tmp_path):
         # solve used to print Psi = 0.687, 0.879, 0.948 at x = 0, 1, 2 with
@@ -777,6 +825,16 @@ def test_scipy_is_imported_only_by_collocation():
     src = Path(cli.__file__).resolve().parent
     hits = [hit for path in sorted(src.glob("*.py")) for hit in scipy_imports(path)]
     assert hits == ["passage_model._collocation"]
+
+
+def test_solve_bvp_reads_the_jump_direction_once():
+    # Upward jumps are reflected onto the downward solver in one place.
+    src = Path(cli.__file__).resolve().parent / "passage_model.py"
+    solver = next(node for node in ast.walk(ast.parse(src.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "solve_bvp")
+    reads = [node for node in ast.walk(solver)
+             if isinstance(node, ast.Attribute) and node.attr == "jump_direction"]
+    assert len(reads) == 1
 
 
 class TestLazyPackage:

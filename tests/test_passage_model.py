@@ -26,7 +26,7 @@ from pdmpruin.passage_model import (
     solve_bvp,
     _segerdahl_q0_full,
 )
-from pdmpruin.mc_sim import _lundberg_level
+from pdmpruin.mc_sim import SimConfig, _lundberg_level, estimate
 from pdmpruin.phase_type import PhaseType, coxian, erlang, exponential
 from pdmpruin.riccati import phi_k_closed_form
 
@@ -447,10 +447,14 @@ class TestSolveBvp:
         assert np.all((curve.psi >= 0) & (curve.psi <= 1 + 1e-12))
 
     def test_exit_above_negative_drift_impossible(self):
+        # Negative drift with downward jumps never moves up: Psi = M = 0.
         m = fig1_model()
-        grid = np.linspace(0.0, 2.0, 11)
-        with pytest.raises(ValueError, match="impossible"):
-            solve_bvp(m, PassageProblem(0.0, 2.0, "exit_above"), grid)
+        problem = PassageProblem(0.0, 2.0, "exit_above")
+        curve = solve_bvp(m, problem, np.linspace(0.0, 2.0, 11))
+        assert np.all(curve.psi == 0.0) and np.all(curve.m == 0.0)
+        assert curve.boundary_residual == 0.0 and np.all(curve.error_estimate == 0.0)
+        est = estimate(SimConfig(m, problem, 1.0, 2000, 3))
+        assert est.mean == 0.0 and est.std_error == 0.0 and est.n_ruined == 2000
 
     @pytest.mark.parametrize("estimand", ["exit_above", "ruin_below"])
     @pytest.mark.parametrize("q", [0.0, 0.3])
@@ -654,11 +658,55 @@ class TestConstantDriftEigenSolution:
 
     @pytest.mark.parametrize("jumps", [exponential(1.0), erlang(3, 3.0)], ids=["exp", "erlang3"])
     def test_negative_drift_with_upward_jumps_is_rejected(self, jumps):
-        # M(l) = 1 holds only for downward jumps; integrating forward from it
-        # here gives psi far outside [0, 1].
+        # The dual risk model: reflected onto downward jumps, it has no finite
+        # lower level.
         m = ModelSpec(ConstantDrift(-1.0), 0.5, 0.5, jumps, "upward")
         with pytest.raises(NumericalError, match="upward jumps"):
             solve_bvp(m, PassageProblem(0.0), np.linspace(0.0, 5.0, 11))
+
+
+UPWARD_DRIFTS = {
+    "c=+1": (ConstantDrift(1.0), 0.0, 3.0),
+    "c=-1": (ConstantDrift(-1.0), 0.0, 3.0),
+    "K=4": (SegerdahlDrift(4.0, 0.5, 0.5, 1.5), -2.0, 0.4),  # positive below its root 0.46
+    "K=0.75": (SegerdahlDrift(**FIG1), 0.0, 3.0),  # negative above its root -0.10
+}
+
+
+class TestUpwardJumps:
+    """Upward jumps are solved as the reflection y = -x of downward ones."""
+
+    @pytest.mark.parametrize("estimand", ["ruin_below", "exit_above"])
+    @pytest.mark.parametrize("jumps", ["exp", "erlang3", "coxian3"])
+    @pytest.mark.parametrize("drift", list(UPWARD_DRIFTS))
+    def test_two_sided_agrees_with_monte_carlo(self, drift, jumps, estimand):
+        d, l, L = UPWARD_DRIFTS[drift]
+        law = exponential(1.0) if jumps == "exp" else MULTI_PHASE_LAWS[jumps]
+        m = ModelSpec(d, 0.5, 0.5, law, "upward")
+        problem = PassageProblem(l, L, estimand)
+        grid = np.linspace(l, L, 7)
+        curve = solve_bvp(m, problem, grid)
+        Y = np.column_stack([curve.psi, curve.m])
+        assert np.all((Y >= -1e-10) & (Y <= 1.0 + 1e-10))
+        est = estimate(SimConfig(m, problem, float(grid[3]), 4000, 5))
+        assert abs(curve.psi[3] - est.mean) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("estimand", ["ruin_below", "exit_above"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_is_the_mirrored_downward_solve(self, sign, estimand):
+        x = np.linspace(0.0, 3.0, 7)
+        v = sign * (1.0 + 0.3 * x)
+        up = ModelSpec(TabulatedDrift(tuple(x), tuple(v), "linear"), 0.5, 0.5, erlang(3, 3.0), "upward")
+        down = ModelSpec(
+            TabulatedDrift(tuple(-x[::-1]), tuple(-v[::-1]), "linear"), 0.5, 0.5, erlang(3, 3.0)
+        )
+        mirrored = {"ruin_below": "exit_above", "exit_above": "ruin_below"}[estimand]
+        grid = np.linspace(0.0, 3.0, 13)
+        a = solve_bvp(up, PassageProblem(0.0, 3.0, estimand), grid)
+        b = solve_bvp(down, PassageProblem(-3.0, 0.0, mirrored), -grid[::-1])
+        assert_allclose(a.psi, b.psi[::-1], rtol=0, atol=1e-12)
+        assert_allclose(a.m, b.m[::-1], rtol=0, atol=1e-12)
+        assert_allclose(a.error_estimate, b.error_estimate[::-1], rtol=0, atol=1e-12)
 
 
 class TestSolutionCurve:
