@@ -8,9 +8,11 @@ whose matrix is ``(lam/phi(x)) * T1 + T2`` (see
 This module holds the drift and model types, assembles that system,
 evaluates the closed forms available for one-phase jumps, and provides a
 numerical boundary-value solver usable for any phase dimension: an
-initial-value integration when the drift is negative, and collocation on
-the linear two-point problem, whose boundary conditions alone depend on the
-posed problem, when it is positive.  Constant positive drift on a one-sided
+initial-value integration when the drift is negative, and when it is
+positive the linear two-point problem, whose boundary data alone depend on
+the posed problem, split into two initial-value integrations by the Riccati
+equation of the ratios that carry the far-end condition (the paper's ratio
+reduction, extended to n phases).  Constant positive drift on a one-sided
 ruin problem is solved exactly instead: the system matrix is constant (its
 Lie closure is one-dimensional), so the decaying solution is spanned by the
 n stable eigenvectors, Y(x) = V_s e^{Lambda_s (x-l)} c with M(l) = 1.
@@ -619,7 +621,7 @@ def assemble_system(model: ModelSpec) -> Callable[[float | np.ndarray], np.ndarr
     decomposition used by the Lie-closure gate holds by construction.  A
     scalar ``x`` gives the ``(dim, dim)`` matrix; a 1-D array of ``m`` nodes
     gives the ``(dim, dim, m)`` stack with ``A(xs)[:, :, j] == A(xs[j])``
-    (the layout of a collocation Jacobian), checked against the drift's
+    (the layout :func:`ode_residual` reads), checked against the drift's
     sign domain at every node.
     """
     from .lie_algebra import build_generators
@@ -804,12 +806,50 @@ def segerdahl_q0_solution(model: ModelSpec, x):
 # Numerical boundary-value oracle
 # ---------------------------------------------------------------------------
 
-def _collocation(*args, **kwargs):
-    """:func:`scipy.integrate.solve_bvp`, imported on first use; a module-level
-    name, so a tracer can wrap the collocation call."""
-    from scipy.integrate import solve_bvp
+def _collocation(A, l, x_end, w, g, m_l, rtol, atol):
+    """Solution of Y' = A(x) Y on [l, x_end] with M(l) = m_l and w . Y(x_end) = g.
 
-    return solve_bvp(*args, **kwargs)
+    Riccati decoupling (Ascher, Mattheij & Russell, *Numerical Solution of
+    Boundary Value Problems for ODEs*, 1995) splits the two-point
+    problem into two initial-value ones.  The adjoint z' = -A^T z with
+    z(x_end) = w keeps z . Y = g constant, so Psi = gamma - rho . M with the
+    ratios rho = z[1:]/z[0] and gamma = g/z[0], which solve
+
+        rho' = rho v_0 - v[1:],  gamma' = gamma v_0,  v = A^T (1, rho).
+
+    They are integrated from x_end down to l, where they follow the one
+    growing mode; then M' = (A Y)[1:] is integrated up from M(l) = m_l, where
+    its n modes decay.  Integrating the ratios rather than z keeps a stiff
+    system finite.  For n = 1, eta = -rho is the ratio equation of
+    :func:`riccati.to_riccati`.  Returns the callable xs -> Y, shaped
+    (n+1, len(xs)).  The module-level name, kept from the collocation
+    solver this replaced, is where a tracer wraps the solve.
+    """
+    from ._dop853 import integrate as dop853
+
+    def run(fun, t0, t1, y0):
+        sol = dop853(fun, t0, t1, y0, rtol, atol)
+        if sol.message is not None:
+            raise NumericalError(f"two-point solve failed: {sol.message}")
+        return sol
+
+    def ratio_rhs(u, r):  # in u = -x, so that the integration runs forward
+        v = A(-u).T @ np.concatenate(([1.0], r[:-1]))
+        return np.append(v[1:] - r[:-1] * v[0], -r[-1] * v[0])
+
+    def m_rhs(x, m):
+        r = ratios(-x)
+        return (A(x) @ np.concatenate(([r[-1] - r[:-1] @ m], m)))[1:]
+
+    ratios = run(ratio_rhs, -x_end, -l, np.append(w[1:], g) / w[0])
+    forward = run(m_rhs, l, x_end, np.full(w.size - 1, m_l))
+
+    def solution(xs):
+        xs = np.atleast_1d(np.asarray(xs, float))
+        r, m = ratios(-xs), forward(xs)
+        return np.vstack([r[-1] - (r[:-1] * m).sum(axis=0), m])
+
+    return solution
 
 
 def _integrate_columns(A, x0, x1, Y0, rtol, atol):
@@ -854,24 +894,28 @@ def _net_profit(model: ModelSpec) -> bool:
 
 
 def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
-    """Whether a constant-drift ``ruin_below`` problem has a known answer.
+    """Whether a ``ruin_below`` problem has a known answer.
 
-    * ``"impossible"``: upward jumps with positive drift are the reflection
-      y = -x of downward jumps with negative drift posed as exit above,
-      which never moves up: Psi = M = 0, for any kill rate and upper level.
-    * One-sided at zero kill with downward jumps, ``"certain"`` without net
-      profit (Psi = M = 1), and ``"lundberg"``-bounded with it:
-      psi(u) <= e^{-R u}, with R the slowest decay rate of the constant
-      system matrix.
+    * ``"impossible"``: upward jumps with drift positive at the lower level
+      (inside the drift's sign domain) never bring a path down to it: the
+      reflection y = -x of downward jumps with negative drift posed as exit
+      above.  Psi = M = 0, for any drift kind, kill rate and upper level.
+    * One-sided constant drift at zero kill with downward jumps,
+      ``"certain"`` without net profit (Psi = M = 1), and
+      ``"lundberg"``-bounded with it: psi(u) <= e^{-R u}, with R the slowest
+      decay rate of the constant system matrix.
 
     Every other problem, killed or two-sided downward-jump ones included,
     gets None: it has to be solved.
     """
-    if not (model.drift.kind == "constant" and problem.estimand == "ruin_below"):
+    if problem.estimand != "ruin_below":
         return None
     if model.jump_direction == "upward":
-        return "impossible" if model.drift.c > 0 else None
-    if model.kill_rate != 0 or problem.upper is not None:
+        dom = model.drift.sign_domain
+        inside = dom is not None and dom[0] <= problem.lower <= dom[1]
+        rises = inside and model.drift.phi(problem.lower) > 0
+        return "impossible" if rises else None
+    if model.drift.kind != "constant" or model.kill_rate != 0 or problem.upper is not None:
         return None
     return "lundberg" if _net_profit(model) else "certain"
 
@@ -931,9 +975,8 @@ def _stable_eigen_solution(Amat: np.ndarray, t: np.ndarray):
     return Y, bound, bres
 
 
-# Tolerances of :func:`solve_bvp`: relative and absolute ones of the solve
-# (collocation takes max(BVP_RTOL, 1e-10) and no absolute one), and the
-# largest boundary residual accepted.
+# Tolerances of :func:`solve_bvp`: relative and absolute ones of every
+# integration, and the largest boundary residual accepted.
 BVP_RTOL = 1e-11
 BVP_ATOL = 1e-13
 BVP_BC_TOL = 1e-8
@@ -963,22 +1006,26 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     from the eigen-residuals and the conditioning of the eigenbasis.  At
     zero kill without net profit (c <= lam E[C]) ruin is certain and
     Psi = M = 1.  A near-defective A, whose bound would exceed
-    ``BVP_BC_TOL``, goes to collocation below.
+    ``BVP_BC_TOL``, goes to the two-point solve below.
 
     Every other positive-drift problem is the same linear two-point problem
-    on [l, x_end], solved by collocation; only the boundary conditions
-    differ:
+    on [l, x_end], M(l) = m_l and w . Y(x_end) = g, solved by two
+    initial-value integrations (:func:`_collocation`): the Riccati ratios
+    that carry the far-end condition are integrated down to l, then M up
+    from l.  Only the boundary data differ:
 
     * ``exit_above``: M(l) = 0, Psi(L) = 1, with x_end = L;
     * two-sided ``ruin_below``: M(l) = 1, Psi(L) = 0, with x_end = L;
     * one-sided ``ruin_below``: M(l) = 1 plus decay at a truncation point
-      x_end = X_max, where the one non-decaying mode of the system matrix
-      is projected out; X_max is pushed far enough that the truncation error
-      certificate is below ``BVP_BC_TOL``.
+      x_end = X_max, where w . Y = 0 with w the left eigenvector of the one
+      non-decaying mode of the system matrix projects it out; X_max is
+      pushed far enough that the truncation error certificate is below
+      ``BVP_BC_TOL``.
 
     There, and in the initial-value branch, the boundary residual is the
-    largest violation of the posed conditions, and the error estimate is
-    the discrepancy to a rerun at a looser tolerance.
+    largest violation of the posed conditions, the error estimate is the
+    discrepancy to a rerun at a looser tolerance, and a non-finite solution
+    raises :class:`NumericalError`.
 
     The system carries no overshoot penalty, so a problem with
     ``overshoot_xi`` > 0 raises ``ValueError``; Monte Carlo estimates it.
@@ -1035,12 +1082,8 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
 
     else:
         if math.isfinite(L):
-            x_end = L
-            m_l = 0.0 if exit_above else 1.0  # and Psi(L) = 1 - M(l)
-
-            def bc(Ya, Yb):
-                return np.concatenate([Ya[1:] - m_l, Yb[:1] - (1.0 - m_l)])
-
+            x_end, m_l = L, 0.0 if exit_above else 1.0
+            w, g = np.eye(dim)[0], 1.0 - m_l  # Psi(L) = 1 - M(l)
         else:
             # Probe the decay rate inside the sign domain; X_max is checked against its end.
             dom_end = model.drift.sign_domain[1]
@@ -1050,40 +1093,19 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
                     "truncation certificate failure: decaying eigenspace has dimension "
                     f"{n_decay}, expected {n}"
                 )
-            x_end = float(grid[-1]) + math.log(1e10) / (-rate)
+            x_end, m_l = float(grid[-1]) + math.log(1e10) / (-rate), 1.0
             if x_end > dom_end:
                 raise NumericalError(
                     f"truncation point X_max = {x_end:g} lies past the end {dom_end:g} of "
                     f"the drift's sign domain: the slowest decay rate {-rate:g} is too "
                     "small to truncate the problem inside it"
                 )
-            w_non = _nonstable_left_row(A(x_end))
-
-            def bc(Ya, Yb):
-                return np.concatenate([Ya[1:] - 1.0, [w_non @ Yb]])
-
-        mesh = np.linspace(l, x_end, 401)
-        if math.isfinite(L):
-            guess = np.ones((dim, mesh.size))
-        else:
-            guess = np.tile(np.exp(rate * (mesh - l)), (dim, 1))
-
-        def rhs(xv, Y):
-            return np.einsum("ijm,jm->im", A(xv), Y)
+            w, g = _nonstable_left_row(A(x_end)), 0.0
 
         def compose(rt, at):
-            sol = _collocation(
-                rhs, bc, mesh, guess, fun_jac=lambda xv, Y: A(xv),
-                tol=max(rt, 1e-10), max_nodes=200000,
-            )
-            if not sol.success:
-                raise NumericalError(f"collocation failed: {sol.message}")
-
-            def solution(xs):
-                return sol.sol(np.atleast_1d(np.asarray(xs, float)))
-
-            ends = solution(np.array([l, x_end]))
-            return solution, abs(bc(ends[:, 0], ends[:, 1])).max()
+            solution = _collocation(A, l, x_end, w, g, m_l, rt, at)
+            ends = solution([l, x_end])
+            return solution, max(abs(ends[1:, 0] - m_l).max(), abs(w @ ends[:, 1] - g))
 
     solution, bres = compose(BVP_RTOL, BVP_ATOL)
     vals = solution(grid)  # (dim, len(grid))
@@ -1092,6 +1114,8 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     vals_loose = loose(grid)
     err = np.max(np.abs(vals - vals_loose), axis=0)
 
+    if not (np.isfinite(err).all() and math.isfinite(bres)):  # err is NaN where either run is
+        raise NumericalError("the solve gave a non-finite solution")
     if bres > BVP_BC_TOL:
         raise NumericalError(f"boundary residual {bres:.3e} exceeds {BVP_BC_TOL:.1e}")
     return SolutionCurve(

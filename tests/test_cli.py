@@ -821,10 +821,10 @@ def scipy_imports(path):
     return hits
 
 
-def test_scipy_is_imported_only_by_collocation():
+def test_scipy_is_never_imported():
     src = Path(cli.__file__).resolve().parent
     hits = [hit for path in sorted(src.glob("*.py")) for hit in scipy_imports(path)]
-    assert hits == ["passage_model._collocation"]
+    assert hits == []
 
 
 def test_solve_bvp_reads_the_jump_direction_once():
@@ -869,8 +869,18 @@ class TestLazyPackage:
         assert got == str(["pdmpruin", *(f"pdmpruin.{m}" for m in modules)])
 
 
+# CONST_CONFIG with its drift read from a positive 121-knot cubic table.
+_POSITIVE_TABLE_X = np.linspace(0.0, 60.0, 121)
+POSITIVE_TABLE_CONFIG = with_value(
+    CONST_CONFIG,
+    ("model", "drift"),
+    {"kind": "tabulated", "x": _POSITIVE_TABLE_X.tolist(),
+     "values": (1.2 + 0.5 * np.sin(_POSITIVE_TABLE_X)).tolist(), "interpolation": "cubic"},
+)
+
+
 class TestScipyStaysUnloaded:
-    """Every step but collocation runs on numpy alone."""
+    """Every step runs on numpy alone."""
 
     def test_import_cli(self):
         assert loaded_modules("import pdmpruin.cli", "scipy") == "[]"
@@ -899,8 +909,11 @@ class TestScipyStaysUnloaded:
             (ERLANG3_CONST_CONFIG, [["solve"]]),
             (CUBIC_TABLE_CONFIG, [["check-solvability"], ["check-integrability"], ["solve"],
                                   ["simulate", "--paths", "2000"], COMPARE_STEP]),
+            (with_value(CONST_CONFIG, ("problem", "upper"), 5.0), [["solve"]]),
+            (POSITIVE_TABLE_CONFIG, [["solve"]]),
         ],
-        ids=["relaxing", "relaxing-zero-kill", "constant", "constant-erlang3", "cubic-table"],
+        ids=["relaxing", "relaxing-zero-kill", "constant", "constant-erlang3", "cubic-table",
+             "constant-two-sided", "positive-cubic-table"],
     )
     def test_numpy_only_steps(self, tmp_path, config, steps):
         path = write_config(tmp_path, config)

@@ -45,6 +45,9 @@ def const_model(c=1.0, lam=1.0, q=0.0, mu=2.0):
     return ModelSpec(ConstantDrift(c), lam, q, exponential(mu))
 
 
+_SIN_X = np.linspace(0.0, 10.0, 41)
+
+
 def tabulated_fig1_drift():
     """400-knot cubic table of the relaxing drift on [-1, 8], sign domain [0, 8]."""
     xs = np.linspace(-1.0, 8.0, 400)
@@ -431,12 +434,24 @@ class TestLundbergLevel:
 
     @pytest.mark.parametrize("kill_mode", ["weight", "horizon"])
     @pytest.mark.parametrize("q", [0.0, 0.5])
-    def test_positive_drift_with_upward_jumps_settles_at_once(self, recwarn, q, kill_mode):
-        # Ruin below is impossible: every path escapes with weight 0, none is
-        # censored, and no censoring warning is raised.  These paths used to
-        # run to the horizon and come back all censored.
-        m = ModelSpec(ConstantDrift(1.0), 0.5, q, ERLANG3, "upward")
-        est = estimate(ruin_cfg(m, x0=1.0, n=2000, seed=3, kill_mode=kill_mode))
+    @pytest.mark.parametrize(
+        "drift, lower, x0",
+        [
+            (ConstantDrift(1.0), 0.0, 1.0),
+            (SegerdahlDrift(4.0, 0.5, 0.5, 1.5), -2.0, -1.8),
+            (TabulatedDrift(tuple(_SIN_X), tuple(1.0 + 0.2 * np.sin(_SIN_X))), 0.0, 1.0),
+        ],
+        ids=["constant", "relaxing", "sin-table"],
+    )
+    def test_positive_drift_with_upward_jumps_settles_at_once(
+        self, recwarn, drift, lower, x0, q, kill_mode
+    ):
+        # Ruin below is impossible for any drift positive at the lower level:
+        # every path escapes with weight 0, none is censored, and no
+        # censoring warning is raised.  These paths used to run to the
+        # horizon and come back all censored, or leave the drift table.
+        m = ModelSpec(drift, 0.5, q, ERLANG3, "upward")
+        est = estimate(SimConfig(m, PassageProblem(lower), x0, 2000, 3, kill_mode=kill_mode))
         assert (est.mean, est.std_error) == (0.0, 0.0)
         assert (est.n_escaped, est.n_censored, est.n_ruined, est.n_killed) == (2000, 0, 0, 0)
         assert not est.all_censored

@@ -59,7 +59,7 @@ def counted_collocation(monkeypatch):
     solver = passage_model._collocation
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["tol"])
+        calls.append(args)
         return solver(*args, **kwargs)
 
     monkeypatch.setattr(passage_model, "_collocation", counted)
@@ -500,6 +500,34 @@ class TestSolveBvp:
         curve = solve_bvp(m, PassageProblem(lower=0.0), np.linspace(0.0, 5.0, 51))
         assert len(calls) == 2  # the solve and its looser error-estimate rerun
         assert curve.method == "ode_bvp"
+
+    @pytest.mark.parametrize(
+        "profile", [lambda x: 1.2 + 0.5 * np.sin(x), lambda x: 1.0 + 0.01 * x], ids=["sin", "linear"]
+    )
+    def test_one_sided_table_matches_the_zero_kill_closed_form(self, profile):
+        # The two-point solve, truncated at X_max, against the quadrature
+        # closed form on the same cubic table: an independent oracle.
+        xs = np.linspace(0.0, 80.0, 321)
+        m = ModelSpec(TabulatedDrift(tuple(xs), tuple(profile(xs))), 0.5, 0.0, exponential(2.0))
+        grid = np.linspace(0.0, 10.0, 41)
+        curve = solve_bvp(m, PassageProblem(0.0), grid)
+        psi, mm = segerdahl_q0_solution(m, grid)
+        assert_allclose(curve.psi, psi, rtol=0, atol=1e-9)
+        assert_allclose(curve.m[:, 0], mm, rtol=0, atol=1e-9)
+
+    def test_stiff_two_sided_table_keeps_its_values(self):
+        # int (lam + q)/phi over [0, 50] is ~1200, so the adjoint solution
+        # overflows a double; the ratios it is solved in stay finite.  The
+        # literals are scipy's collocation solve_bvp on the same problem.
+        drift = TabulatedDrift((0.0, 60.0), (0.05, 0.08), "linear")
+        m = ModelSpec(drift, 1.0, 0.5, erlang(3, 3.0))
+        grid = np.linspace(0.0, 50.0, 11)
+        curve = solve_bvp(m, PassageProblem(0.0, 50.0), grid)
+        want = [0.6664991175450974, 0.10824563015143636, 0.015286339161000025,
+                0.002152491369084988, 0.0003022188850701305, 4.2309849081314736e-05,
+                5.906068580699166e-06, 8.220345271773721e-07, 1.1408108111647998e-07,
+                1.5785800907838553e-08, 0.0]
+        assert_allclose(curve.psi, want, rtol=0, atol=1e-8)
 
     def test_truncation_row_is_the_non_decaying_left_eigenvector(self):
         # positive drift with Erlang-3 jumps: three decaying modes, one growing
