@@ -3,12 +3,23 @@
 The first-passage linear system is integrable by quadratures when its
 coefficient matrices lie, for every state, in a solvable matrix Lie
 algebra.  This module computes the smallest Lie algebra containing given
-generator matrices and decides solvability via the derived series, using
-numerically rank-revealing span maintenance.
+generator matrices and decides solvability via the derived series.
+
+Matrices are handled as flattened rows under the Frobenius inner product,
+and every span is an orthonormal stack of such rows.  Each rank decision is
+made for a whole batch at once: the commutators of a generation are
+computed together, the current span is projected out of them twice, and the
+right singular vectors of what remains whose singular values exceed
+``SPAN_TOL`` join the span.  Only the seed generators are normalized; a
+commutator of unit-norm basis elements is tested at its own size, so one
+that vanishes up to rounding stays below the threshold.  The derived series
+makes the same decision on [h, h] in the coordinates of h, where it lies
+exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,8 +37,9 @@ __all__ = [
     "spans_equal",
 ]
 
-#: Residual threshold for rank decisions, relative to generator norms
-#: (generators are normalized to unit Frobenius norm before spanning).
+#: Singular-value threshold for rank decisions.  Seed generators are
+#: normalized to unit Frobenius norm; commutators of the resulting
+#: orthonormal basis are tested unnormalized.
 SPAN_TOL = 1e-9
 
 
@@ -40,51 +52,54 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-class _Span:
-    """Orthonormal basis of flattened matrices under the Frobenius inner product.
+def _as_stack(mats: Sequence[np.ndarray], name: str) -> np.ndarray:
+    """The input as a ``(k, n, n)`` stack; square, one shape, finite, else ValueError."""
+    mats = [np.asarray(m, float) for m in mats]
+    shapes = sorted({m.shape for m in mats})
+    if len(shapes) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
+        raise ValueError(f"{name} needs square matrices of one shape, got shapes {shapes}")
+    stack = np.array(mats) if mats else np.empty((0, 0, 0))
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} needs matrices with finite entries")
+    return stack
 
-    The basis rows live in a preallocated ``(dim, dim)`` array; the first
-    ``count`` rows are in use.  Classical Gram-Schmidt with one
-    re-orthogonalization pass; the residual threshold is absolute because
-    all inputs are pre-normalized.
+
+def _unit_rows(stack: np.ndarray) -> np.ndarray:
+    """The matrices as unit-norm flattened rows; zero matrices are dropped."""
+    rows = stack.reshape(len(stack), stack.shape[1] ** 2)
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 0.0
+    return rows[keep] / norms[keep, None]
+
+
+def _project_out(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The rows of V with their components along the orthonormal rows Q removed, twice."""
+    for _ in range(2):
+        V = V - (V @ Q.T) @ Q
+    return V
+
+
+def _span(V: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions of V with singular value above SPAN_TOL."""
+    _, s, Vt = np.linalg.svd(V, full_matrices=False)
+    return Vt[s > SPAN_TOL]
+
+
+def _commutators(Q: np.ndarray, start: int = 0) -> np.ndarray:
+    """Flattened [q_i, q_j] for the rows of Q, each pair i < j with j >= start once.
+
+    [q_j, q_i] = -[q_i, q_j] and [q, q] = 0 exactly, so these span all of [Q, Q[start:]].
     """
+    n = math.isqrt(Q.shape[1])
+    M = Q.reshape(-1, n, n)
+    i, j = np.triu_indices(len(M), 1)
+    i, j = i[j >= start], j[j >= start]
+    return (M[i] @ M[j] - M[j] @ M[i]).reshape(-1, n * n)
 
-    def __init__(self, dim: int):
-        self.rows = np.empty((dim, dim))
-        self.count = 0
 
-    def __len__(self) -> int:
-        return self.count
-
-    def _project_out(self, v: np.ndarray) -> np.ndarray:
-        Q = self.rows[: self.count]
-        return v - (Q @ v) @ Q
-
-    def residual(self, M: np.ndarray) -> tuple[np.ndarray, float]:
-        v = M.reshape(-1).astype(float)
-        r = self._project_out(self._project_out(v))
-        return r, float(np.linalg.norm(r))
-
-    def try_add(self, M: np.ndarray) -> bool:
-        """Add the component of M orthogonal to the span; False if dependent."""
-        if self.count == len(self.rows):
-            return False  # the span is the whole space
-        v = M.reshape(-1).astype(float)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return False
-        r = self._project_out(v / nv)
-        nr = np.linalg.norm(r)
-        if nr <= SPAN_TOL:
-            return False
-        r = self._project_out(r / nr)
-        self.rows[self.count] = r / np.linalg.norm(r)
-        self.count += 1
-        return True
-
-    def matrices(self, n: int) -> np.ndarray:
-        """The basis as an ``(count, n, n)`` stack (a view; rows are never rewritten)."""
-        return self.rows[: self.count].reshape(-1, n, n)
+def _residual(Q: np.ndarray, V: np.ndarray) -> float:
+    """Largest norm of a row of V outside the span of the orthonormal rows Q."""
+    return float(np.linalg.norm(_project_out(Q, V), axis=1).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -116,43 +131,37 @@ class ClosureReport:
 def closure(generators: Sequence[np.ndarray]) -> ClosureReport:
     """Smallest matrix Lie algebra containing the generators.
 
-    Seeds the span with the (normalized) generators, then repeatedly
-    commutates every basis element against the newest ones, projecting out
-    the current span and keeping any residual direction above ``SPAN_TOL``.
+    Seeds the span with the normalized generators, then each generation
+    commutates every basis element against the previous generation's new
+    ones and adds the directions the span lacks (see the module docstring).
     Terminates when a generation adds nothing or the span is all of gl(n).
+    Zero generators alone span the zero algebra.
     """
-    if len(generators) == 0:
+    stack = _as_stack(generators, "closure")
+    if len(stack) == 0:
         raise ValueError("need at least one generator")
-    mats = [np.asarray(g, float) for g in generators]
-    n = mats[0].shape[0]
-    for g in mats:
-        if g.shape != (n, n):
-            raise ValueError("all generators must share one square shape")
+    n = stack.shape[1]
 
     notes: list[str] = []
-    span = _Span(n * n)
-    for i, g in enumerate(mats):
-        norm = np.linalg.norm(g)
-        if norm == 0.0 or not span.try_add(g / norm):
+    basis = np.empty((0, n * n))
+    for i, g in enumerate(stack):
+        new = _span(_project_out(basis, _unit_rows(g[None])))
+        if len(new) == 0:
             notes.append(f"generator {i} dropped: numerically dependent on the others")
+        basis = np.vstack([basis, new])
 
-    frontier = list(span.matrices(n))
+    frontier = basis
     generations = 0
-    while frontier and len(span) < n * n:
+    while len(frontier) and len(basis) < n * n:
         generations += 1
-        new: list[np.ndarray] = []
-        for a in span.matrices(n):
-            for f in frontier:
-                # [f, a] = -[a, f] exactly, so one order spans both.
-                if span.try_add(commutator(a, f)):
-                    new.append(span.matrices(n)[-1])
-        frontier = new
+        frontier = _span(_project_out(basis, _commutators(basis, len(basis) - len(frontier))))
+        basis = np.vstack([basis, frontier])
 
-    basis_mats = span.matrices(n)
+    basis_mats = basis.reshape(-1, n, n)
     dimension = len(basis_mats)
     cap_reached = dimension == n * n
     # All of gl(n) is closed trivially.
-    closed = cap_reached or _closure_residual(basis_mats) <= SPAN_TOL
+    closed = cap_reached or _residual(basis, _commutators(basis)) <= SPAN_TOL
     if closed:
         solvable, dims = is_solvable(basis_mats)
     else:
@@ -169,69 +178,36 @@ def closure(generators: Sequence[np.ndarray]) -> ClosureReport:
     )
 
 
-def _closure_residual(basis: Sequence[np.ndarray]) -> float:
-    span = _Span(basis[0].size)
-    for m in basis:
-        span.try_add(m / np.linalg.norm(m))
-    worst = 0.0
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            c = commutator(a, b)
-            nc = np.linalg.norm(c)
-            if nc == 0.0:
-                continue
-            _, r = span.residual(c / nc)
-            worst = max(worst, r)
-    return worst
-
-
-def _derived_span(basis: Sequence[np.ndarray]) -> list[np.ndarray]:
-    n = basis[0].shape[0]
-    # [h, h] lies inside h exactly, so each commutator is projected onto h
-    # first: its rounding error outside h must not count as a dimension.
-    outer = _Span(n * n)
-    for m in basis:
-        outer.try_add(m)
-    Q = outer.rows[: outer.count]
-    span = _Span(n * n)
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            c = (Q @ commutator(a, b).reshape(-1)) @ Q
-            nc = np.linalg.norm(c)
-            if nc > 0.0:
-                span.try_add(c / nc)
-    return span.matrices(n)
-
-
 def is_solvable(basis: Sequence[np.ndarray]) -> tuple[bool, tuple[int, ...]]:
     """Decide solvability of the algebra spanned by ``basis``.
 
     Computes the derived series g >= [g,g] >= [[g,g],[g,g]] >= ... with the
-    same rank-revealing projection used by :func:`closure`; solvable iff the
-    dimensions reach zero.  Returns ``(verdict, dims)`` where ``dims`` starts
-    at ``len(basis)`` and, on stabilization, repeats the limiting dimension.
+    same rank decision used by :func:`closure`; solvable iff the dimensions
+    reach zero.  Returns ``(verdict, dims)`` where ``dims`` starts at the
+    dimension of the span of ``basis`` and, on stabilization, repeats the
+    limiting dimension.
 
     Raises
     ------
     ValueError
         If the input does not span a closed Lie algebra ("not closed").
     """
-    basis = [np.asarray(m, float) for m in basis]
-    if not basis:
-        return True, (0,)
-    if _closure_residual(basis) > SPAN_TOL:
+    stack = _as_stack(basis, "is_solvable")
+    h = _span(_unit_rows(stack))
+    # All of gl(n) is closed trivially.
+    if len(h) < h.shape[1] and _residual(h, _commutators(h)) > SPAN_TOL:
         raise ValueError("not closed: commutators leave the span of the basis")
 
-    dims = [len(basis)]
-    current = list(basis)
-    while True:
-        derived = _derived_span(current)
-        dims.append(len(derived))
-        if len(derived) == 0:
-            return True, tuple(dims)
-        if len(derived) >= dims[-2]:
+    dims = [len(h)]
+    while len(h):
+        # [h, h] lies inside h exactly, so the commutators are taken in h's
+        # coordinates: their rounding error outside h must not count as a
+        # dimension.
+        h = _span(_commutators(h) @ h.T) @ h
+        dims.append(len(h))
+        if dims[-1] == dims[-2]:
             return False, tuple(dims)
-        current = derived
+    return True, tuple(dims)
 
 
 def build_generators(model: "ModelSpec") -> tuple[np.ndarray, np.ndarray]:
@@ -259,24 +235,11 @@ def build_generators(model: "ModelSpec") -> tuple[np.ndarray, np.ndarray]:
 
 
 def spans_equal(basis_a: Sequence[np.ndarray], basis_b: Sequence[np.ndarray]) -> bool:
-    """True iff both bases span the same subspace (mutual projection residuals)."""
-    a = [np.asarray(m, float) for m in basis_a]
-    b = [np.asarray(m, float) for m in basis_b]
-    if not a and not b:
-        return True
+    """True iff both bases span the same subspace (mutual projection residuals).
 
-    def contained(xs, ys):
-        if not xs:
-            return True
-        if not ys:
-            return False
-        span = _Span(xs[0].size)
-        for m in ys:
-            span.try_add(m / np.linalg.norm(m))
-        for m in xs:
-            _, r = span.residual(m / np.linalg.norm(m))
-            if r > SPAN_TOL:
-                return False
-        return True
-
-    return contained(a, b) and contained(b, a)
+    Zero matrices add nothing to a span.
+    """
+    a = list(basis_a)
+    stack = _as_stack(a + list(basis_b), "spans_equal")
+    qa, qb = _span(_unit_rows(stack[: len(a)])), _span(_unit_rows(stack[len(a) :]))
+    return _residual(qa, qb) <= SPAN_TOL and _residual(qb, qa) <= SPAN_TOL

@@ -678,6 +678,21 @@ class TestSubcommands:
         assert data["dimension"] == 4
         assert data["derived_series_dims"] == [4, 3, 3]
 
+    def test_check_solvability_zero_kill_erlang7_output(self, tmp_path, capsys):
+        # At q = 0 the algebra lies in {X : X 1 = 0}, of dimension 7 * 8 = 56.
+        B = (np.diag(np.full(7, -7.0)) + np.diag(np.full(6, 7.0), 1)).tolist()
+        cfg = json.loads(json.dumps(FIG1_CONFIG))
+        cfg["model"]["kill_rate"] = 0.0
+        cfg["model"]["drift"]["q"] = 0.0
+        cfg["model"]["jumps"] = {"beta": [1.0] + [0.0] * 6, "B": B}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "closure.json")
+        assert main(["check-solvability", "--config", path, "--output", out]) == EXIT_OK
+        assert "dimension 56, non-solvable" in capsys.readouterr().out
+        data = json.loads((tmp_path / "closure.json").read_text())
+        assert data["derived_series_dims"] == [56, 55, 55]
+        assert data["generations"] == 9
+
     def test_check_solvability_zero_kill(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(FIG1_CONFIG))
         cfg["model"]["kill_rate"] = 0.0

@@ -114,6 +114,87 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure([])
 
+    def test_zero_generator_spans_the_zero_algebra(self):
+        rep = closure([np.zeros((2, 2))])
+        assert (rep.dimension, rep.closed, rep.solvable) == (0, True, True)
+        assert (rep.derived_series_dims, rep.generations, rep.basis) == ((0,), 0, ())
+        assert rep.notes == ("generator 0 dropped: numerically dependent on the others",)
+
+
+# Coxian-7 laws: equal stage rates, and stage rates spread over 7..1.
+COXIAN7 = coxian([7.0] * 7, [0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+COXIAN7_SPREAD = coxian([7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+
+
+class TestPhaseCount:
+    """At q = 0 every generator maps the all-ones vector to zero, so the
+    algebra lies in {X : X 1 = 0}, of dimension n(n+1); with q > 0 it can
+    reach gl(n+1).  The pins agree with an exact rank over GF(2**61 - 1)."""
+
+    @pytest.mark.parametrize(
+        "jumps, q, pin",
+        [
+            (erlang(7, 7.0), 0.0, (56, 9, (56, 55, 55))),
+            (erlang(7, 7.0), 0.5, (64, 9, (64, 63, 63))),
+            (coxian([3.0, 2.0, 1.0], [0.7, 0.5]), 0.0, (10, 5, (10, 8, 8))),
+            (coxian([3.0, 2.0, 1.0], [0.7, 0.5]), 0.5, (13, 5, (13, 11, 11))),
+        ],
+        ids=["erlang7-q0", "erlang7-q0.5", "coxian3-q0", "coxian3-q0.5"],
+    )
+    def test_closure_pins(self, jumps, q, pin):
+        rep = closure(build_generators(model(q, lam=0.5, jumps=jumps)))
+        assert (rep.dimension, rep.generations, rep.derived_series_dims) == pin
+        assert rep.closed
+
+    @pytest.mark.parametrize(
+        "jumps",
+        [erlang(k, float(k)) for k in range(2, 8)] + [coxian([3.0, 2.0, 1.0], [0.7, 0.5]), COXIAN7],
+        ids=[f"erlang{k}" for k in range(2, 8)] + ["coxian3", "coxian7"],
+    )
+    def test_zero_kill_basis_annihilates_ones(self, jumps):
+        rep = closure(build_generators(model(0.0, lam=0.5, jumps=jumps)))
+        ones = np.ones(jumps.n + 1)
+        assert max(np.linalg.norm(X @ ones) for X in rep.basis) <= 1e-9
+        assert rep.dimension <= jumps.n * (jumps.n + 1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="rounding in directions found with small singular values (down to 1e-4) "
+        "is amplified generation by generation until a noise direction passes SPAN_TOL",
+    )
+    def test_spread_rate_coxian7_zero_kill_dimension(self):
+        rep = closure(build_generators(model(0.0, lam=0.5, jumps=COXIAN7_SPREAD)))
+        assert rep.dimension == 56  # exact rank over GF(2**61 - 1)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_basis_of_gl(self, m, rotated):
+        basis = np.eye(m * m)
+        if rotated:  # commutators of a rotated basis carry rounding in every entry
+            basis, _ = np.linalg.qr(np.random.default_rng(m).normal(size=(m * m, m * m)))
+        dims = (m * m, m * m - 1, m * m - 1)
+        assert is_solvable(basis.reshape(m * m, m, m)) == (False, dims)
+
+
+class TestInputCheck:
+    """closure, is_solvable and spans_equal share one check of their input."""
+
+    @pytest.mark.parametrize("call", [closure, is_solvable, lambda ms: spans_equal(ms[:1], ms[1:])],
+                             ids=["closure", "is_solvable", "spans_equal"])
+    @pytest.mark.parametrize(
+        "mats, message",
+        [
+            ([np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)], "finite entries"),
+            ([np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2)], "finite entries"),
+            ([np.eye(2), np.eye(3)], "square matrices of one shape"),
+            ([np.ones((2, 3))], "square matrices of one shape"),
+        ],
+        ids=["nan", "inf", "mixed-shapes", "non-square"],
+    )
+    def test_rejected(self, call, mats, message):
+        with pytest.raises(ValueError, match=message):
+            call(mats)
+
 
 class TestIsSolvable:
     def test_zero_kill_series(self):
@@ -154,6 +235,9 @@ class TestIsSolvable:
         # [g', g'] lies inside g', so rounding outside g' is not a dimension.
         report = closure(build_generators(model(0.0, lam=0.5, jumps=erlang(6, 6.0))))
         assert report.derived_series_dims == (42, 41, 41)
+
+    def test_zero_matrix_spans_nothing(self):
+        assert is_solvable([np.zeros((2, 2))]) == (True, (0,))
 
     def test_not_closed_rejected(self):
         E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -206,3 +290,16 @@ class TestModelClosureGate:
         rep = closure(list(build_generators(model(q))))
         assert (rep.dimension, rep.solvable) == (4, False)
         assert rep.derived_series_dims == (4, 3, 3)
+
+
+class TestSpansEqual:
+    def test_zero_matrix_adds_nothing(self):
+        I, Z = np.eye(2), np.zeros((2, 2))
+        assert not spans_equal([Z], [I])
+        assert not spans_equal([I], [Z])
+        assert spans_equal([I, Z], [I])
+
+    def test_scaled_and_recombined_bases(self):
+        E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert spans_equal([np.eye(2), E12], [3.0 * np.eye(2) + E12, -2.0 * E12])
+        assert not spans_equal([np.eye(2)], [np.eye(2), E12])
