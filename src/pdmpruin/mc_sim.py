@@ -52,8 +52,8 @@ __all__ = [
 BLOCK_SIZE = 8192
 
 #: Largest weight a censored path may lose: the default horizon of a killed
-#: model is where e^{-qT} reaches EPS, and a zero-kill path that reaches the
-#: Lundberg level has a remaining ruin chance of at most EPS.
+#: model is where e^{-qT} reaches EPS, and a path that reaches the Lundberg
+#: level has a remaining ruin weight of at most EPS.
 EPS = 1e-16
 
 #: Path-rounds one block may take before the engine gives up.
@@ -238,16 +238,35 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
 
 
 def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
-    """Level past which a path's remaining ruin probability is below :data:`EPS`.
+    """Level past which a path's remaining ruin weight is below :data:`EPS`.
 
-    Where :func:`passage_model._ruin_verdict` finds a zero-kill
-    constant-drift ruin problem with net profit, Lundberg's inequality
-    psi(u) <= e^{-R u} holds for any jump law, with R the adjustment
-    coefficient: the slowest decay rate of the constant system matrix.  The
-    level is ``lower + ln(1/EPS)/R``.  Every other posed problem, certain
-    ruin included, gets +inf: no level.
+    It is ``lower + ln(1/EPS)/R``, with R the slowest decay rate of the
+    constant system matrix, on one-sided ruin problems with constant drift
+    c > 0 and downward jumps:
+
+    * at zero kill, where :func:`passage_model._ruin_verdict` finds net
+      profit, R is the adjustment coefficient and Lundberg's inequality
+      psi(u) <= e^{-R u} holds for any jump law;
+    * with killing q > 0, R = R_q solves kappa(-R_q) = q for the Laplace
+      exponent kappa of the process, so e^{-q t - R_q (X_t - lower)} is a
+      martingale and psi_q(u) <= e^{-R_q u} (Asmussen & Albrecher, Ruin
+      Probabilities, 2010).  A path at (t, x) can add at most
+      e^{-q t} psi_q(x) to a weight-mode estimate, so the batch engine
+      censors it once q t + R_q (x - lower) >= ln(1/EPS): at a level that
+      falls at q / R_q per unit time.  In horizon mode a live path's share
+      is psi_q(x) itself, and the level stays put.
+
+    Every other posed problem, certain ruin included, gets +inf: no level.
     """
-    if _ruin_verdict(model, problem) != "lundberg":
+    killed = (
+        model.kill_rate > 0
+        and problem.estimand == "ruin_below"
+        and problem.upper is None
+        and model.jump_direction == "downward"
+        and model.drift.kind == "constant"
+        and model.drift.c > 0
+    )
+    if not killed and _ruin_verdict(model, problem) != "lundberg":
         return math.inf
     try:
         _, rate = _decay_certificate(assemble_system(model)(problem.lower))
@@ -343,9 +362,10 @@ def _run_block(
     Killing is a weight e^{-q tau} in ``"weight"`` mode; in ``"horizon"``
     mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
     stopped by its kill time counts as killed.  A path at or above
-    ``level`` stops as censored, and ``counts["at_level"]`` says how many
-    of the censored paths stopped there rather than at the horizon.  Where
-    ruin is impossible every path escapes at once.
+    ``level``, which falls with time in weight mode (see
+    :func:`_lundberg_level`), stops as censored, and ``counts["at_level"]``
+    says how many of the censored paths stopped there rather than at the
+    horizon.  Where ruin is impossible every path escapes at once.
     """
     model, problem = cfg.model, cfg.problem
     drift = model.drift
@@ -399,12 +419,14 @@ def _run_block(
     else:
         hz = np.full(n, horizon)
     has_level = math.isfinite(level)
+    # ln(1/EPS) / R = level - l, so the level falls at q_w / R per unit time.
+    fall = q_w * (level - l) / math.log(1.0 / EPS) if has_level else 0.0
     two_sided = math.isfinite(L)
 
     max_rounds = ROUND_BUDGET // max(n, 1) + 1000
     for _ in range(max_rounds):
         if has_level:
-            far = x >= level
+            far = x >= level - fall * t
             if far.any():
                 f_ids = ids[far]
                 counts["at_level"] += f_ids.size

@@ -66,8 +66,20 @@ def require_finite(where: str, **fields) -> None:
 # Every drift type gives its flow ``flow(x, t, tol)`` and the crossing time
 # ``travel_time(x, level)``, both elementwise over arrays.  For a tabulated
 # drift both come from the clock F(x) = int dx/phi; the flow is
-# F^{-1}(F(x) + t) and the travel time F(level) - F(x).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# F^{-1}(F(x) + t) and the travel time F(level) - F(x).  The clock's
+# quadrature is the 10-point Gauss-Legendre rule, written out as the values
+# numpy.polynomial.legendre.leggauss(10) gives, so that no step imports
+# numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+])
 
 
 def _not_a_knot_slopes(h: np.ndarray, secant: np.ndarray) -> np.ndarray:

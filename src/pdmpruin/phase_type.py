@@ -5,6 +5,19 @@ Markov chain with subgenerator matrix ``B`` (nonnegative off-diagonal
 entries, negative diagonal, nonpositive row sums) started from the
 probability row vector ``beta``.  Its tail is ``beta @ expm(B x) @ 1`` and
 its density ``beta @ expm(B x) @ b`` with exit-rate vector ``b = -B @ 1``.
+
+``tail`` and ``density`` evaluate these by uniformisation (Moler & Van Loan,
+SIAM Rev. 45, 2003, section 4): with theta = max_i |B_ii| and the
+nonnegative matrix P = I + B / theta,
+
+    beta e^{B x} v = sum_k Pois(k; theta x) beta P^k v,
+
+a sum of nonnegative terms, so nothing cancels and a defective B (Erlang)
+needs no special care.  To keep the tables bounded for any x, e^{B x} is
+split as e^{B j h} e^{B r} over windows of fixed Poisson mean theta h; the
+rows beta e^{B j h} come from powers of e^{B h}, and the series runs
+over the remainder r.  ``matrix_exp`` (Pade) is the reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +44,16 @@ __all__ = [
 
 #: Tolerance for the normalization of beta and for b = -B @ 1.
 NORMALIZATION_TOL = 1e-12
+
+#: Poisson mean theta h of one uniformisation window; the jump laws of
+#: interest stay in the first window over their bulk.
+_WINDOW = 32.0
+
+#: Bound on the Poisson mass a window's truncated series drops.
+_TRUNCATION = 1e-16
+
+#: Points evaluated per block of an array argument.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -122,6 +145,11 @@ class PhaseType:
         start /= start[-1]
         return 1.0 / exit_rates, np.ascontiguousarray(np.cumsum(P, axis=1).T), start
 
+    @cached_property
+    def _uniformisation(self) -> "_Uniformisation":
+        """Tables of :func:`tail` and :func:`density`."""
+        return _Uniformisation(self)
+
     def mean(self) -> float:
         """First moment, beta @ (-B)^(-1) @ 1."""
         return float(np.sum(np.linalg.solve(-self.B.T, self.beta)))
@@ -139,6 +167,86 @@ class PhaseType:
 
     def __repr__(self) -> str:
         return f"PhaseType(beta={self.beta.tolist()}, B={self.B.tolist()})"
+
+
+def _series_length(mean: float) -> int:
+    """Fewest Poisson terms K whose dropped mass P[N >= K] is provably below
+    :data:`_TRUNCATION` for every Poisson mean up to ``mean``.
+
+    P[N >= K] <= Pois(K; m) (K + 1) / (K + 1 - m) for K + 1 > m (the tail
+    against a geometric series), and the bound grows with m below K.
+    """
+    K = math.ceil(mean)
+    while True:
+        pois = math.exp(K * math.log(mean) - mean - math.lgamma(K + 1.0))
+        if pois * (K + 1) / (K + 1 - mean) < _TRUNCATION:
+            return K
+        K += 1
+
+
+class _Uniformisation:
+    """Uniformisation tables of one law, for beta e^{B x} v with v = 1 and b.
+
+    x splits into windows of Poisson mean theta h = :data:`_WINDOW`:
+    e^{B x} = e^{B j h} e^{B r} with 0 <= theta r < theta h.  ``row(j)`` is
+    the pair of coefficient rows beta e^{B j h} P^k v, k < K, tail first;
+    ``row(0)``, beta P^k 1 and beta P^k b, is kept, and a farther window's
+    rows are computed from a power of e^{B h} on each call, so the tables
+    stay bounded for any x.  Every entry is nonnegative and none grows, for
+    a subgenerator B.
+    """
+
+    def __init__(self, pt: PhaseType):
+        B = pt.B
+        bad = np.argwhere((B - np.diag(np.diag(B))) < 0)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"B is not a subgenerator: off-diagonal entry ({i}, {j}) = {B[i, j]:g} is negative"
+            )
+        n = pt.n
+        self.theta = float(np.abs(np.diag(B)).max()) or 1.0
+        # With nonnegative off-diagonal entries, nonnegative exit rates also
+        # make the diagonal nonpositive: P is substochastic.
+        b = pt.b
+        bad = np.flatnonzero(b < -NORMALIZATION_TOL * self.theta)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"B is not a subgenerator: row {i} sums to {-b[i]:g} > 0")
+        self._P = np.eye(n) + B / self.theta
+        K = _series_length(_WINDOW)
+        self.k = np.arange(K, dtype=float)
+        self.log_factorial = np.array([math.lgamma(k + 1.0) for k in range(K)])
+        V = np.empty((K, n, 2))  # the columns P^k 1 and P^k b
+        V[0, :, 0] = 1.0
+        V[0, :, 1] = b
+        for k in range(1, K):
+            V[k] = self._P @ V[k - 1]
+        self._V = V
+        self._beta = pt.beta
+        self._row0 = self._coefficients(pt.beta)
+
+    def _coefficients(self, u: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray((u @ self._V).T)
+
+    @cached_property
+    def _window(self) -> np.ndarray:
+        """e^{B h} = sum_k Pois(k; theta h) P^k."""
+        w = _weights(self, np.float64(_WINDOW))
+        # Every window repeats the rounding of these weights; their sum,
+        # made 1 to rounding, keeps it from compounding.
+        w /= w.sum()
+        E, Pk = np.zeros_like(self._P), np.eye(self._P.shape[0])
+        for wk in w:
+            E += wk * Pk
+            Pk = Pk @ self._P
+        return E
+
+    def row(self, j: int) -> np.ndarray:
+        """Coefficient rows of window ``j``, shape (2, K)."""
+        if j == 0:
+            return self._row0
+        return self._coefficients(self._beta @ np.linalg.matrix_power(self._window, j))
 
 
 def exponential(mu: float) -> PhaseType:
@@ -337,18 +445,50 @@ def _scaled_pade(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def tail(pt: PhaseType, x: float) -> float:
-    """Survival function P[C > x] = beta @ exp(B x) @ 1."""
-    if x < 0:
-        raise ValueError("jump sizes are nonnegative: x >= 0 required")
-    return float(pt.beta @ matrix_exp(pt.B, x) @ np.ones(pt.n))
+def tail(pt: PhaseType, x):
+    """Survival function P[C > x] = beta @ exp(B x) @ 1.
+
+    ``x`` is a number (the result is a float) or an array of points (the
+    result has its shape); either way each point is summed the same way,
+    so an array gives the scalar calls' values bit for bit.
+    """
+    return _transform(pt, x, 0)
 
 
-def density(pt: PhaseType, x: float) -> float:
-    """Density beta @ exp(B x) @ b, the negative derivative of the tail."""
-    if x < 0:
-        raise ValueError("jump sizes are nonnegative: x >= 0 required")
-    return float(pt.beta @ matrix_exp(pt.B, x) @ pt.b)
+def density(pt: PhaseType, x):
+    """Density beta @ exp(B x) @ b, the negative derivative of the tail;
+    ``x`` as for :func:`tail`."""
+    return _transform(pt, x, 1)
+
+
+def _transform(pt: PhaseType, x, which: int):
+    """beta e^{B x} v at the points ``x``: v = 1 for ``which`` 0, v = b for 1."""
+    table = pt._uniformisation
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        s = float(x) * table.theta
+        if not 0.0 <= s < math.inf:
+            raise ValueError("jump sizes are nonnegative and finite: 0 <= x < inf required")
+        j, lam = divmod(s, _WINDOW)
+        return float(np.add.reduce(_weights(table, np.float64(lam)) * table.row(int(j))[which]))
+    x = np.asarray(x, dtype=float)
+    s = x.ravel() * table.theta
+    if not np.all((s >= 0.0) & (s < math.inf)):
+        raise ValueError("jump sizes are nonnegative and finite: 0 <= x < inf required")
+    out = np.empty(s.shape)
+    for start in range(0, s.size, _CHUNK):
+        j, lam = np.divmod(s[start : start + _CHUNK], _WINDOW)
+        windows, inverse = np.unique(j, return_inverse=True)
+        rows = np.stack([table.row(int(v))[which] for v in windows])[inverse.ravel()]
+        out[start : start + _CHUNK] = np.add.reduce(_weights(table, lam) * rows, axis=1)
+    return out.reshape(x.shape)
+
+
+def _weights(table: _Uniformisation, lam):
+    """Pois(k; lam) for k < K: a row per entry of an array ``lam``, one row
+    for a scalar.  ``lam ** k`` is exact at lam = 0 and keeps the terms of
+    every Poisson mean up to :data:`_WINDOW` far from overflow."""
+    lam = lam[..., None]
+    return lam ** table.k * np.exp(-lam - table.log_factorial)
 
 
 def sample(pt: PhaseType, rng: np.random.Generator, size: int | None = None):

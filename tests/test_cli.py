@@ -572,10 +572,11 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_round_budget_exhaustion_is_numerical_error(self, tmp_path, monkeypatch, capsys):
-        # with killing there is no Lundberg level, and most paths outrun
-        # their jumps: they are still alive after the round budget
+        # a relaxing drift with K > 1 holds paths near its root
+        # ln(K)/(2 mu) ~ 4.6, where no Lundberg level applies and a jump
+        # rarely ruins: most paths are still alive after the round budget
         monkeypatch.setattr("pdmpruin.mc_sim.ROUND_BUDGET", 1000)
-        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 0.1)
+        cfg = with_value(FIG1_CONFIG, ("model", "drift", "K"), 1e6)
         argv = ["simulate", "--config", write_config(tmp_path, cfg), "--paths", "100",
                 "--max-time", "1e5"]
         assert main(argv) == EXIT_NUMERICAL
@@ -808,7 +809,8 @@ COMPARE_STEP = ["compare", "--paths", "2000", "--mc-points", "3"]
 
 def loaded_modules(code, package):
     """The ``package`` modules a fresh interpreter holds after running ``code``."""
-    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    probe = (f"{code}\nimport sys\n"
+             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -936,6 +938,22 @@ class TestScipyStaysUnloaded:
                  for step in steps]
         code = f"from pdmpruin.cli import main\nassert [main(a) for a in {calls!r}] == {[0] * len(calls)!r}"
         assert loaded_modules(code, "scipy") == "[]"
+
+
+class TestNumpyPolynomialStaysUnloaded:
+    """The Gauss-Legendre rule of tabulated clocks is written out."""
+
+    @pytest.mark.parametrize(
+        "config, step",
+        [(CONST_CONFIG, ["solve"]), (CUBIC_TABLE_CONFIG, ["simulate", "--paths", "50"])],
+        ids=["constant-solve", "cubic-table-simulate"],
+    )
+    def test_step(self, tmp_path, config, step):
+        # a table's simulate runs its flows on the clock, the rule's one user
+        path = write_config(tmp_path, config)
+        argv = [*step, "--config", path, "--output", str(tmp_path / step[0]), "--quiet"]
+        code = f"from pdmpruin.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_modules(code, "numpy.polynomial") == "[]"
 
 
 def test_benchmark_tracer_labels_the_initial_value_solve():

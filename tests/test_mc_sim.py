@@ -9,6 +9,7 @@ from pdmpruin.mc_sim import (
     EPS,
     PassageEstimate,
     SimConfig,
+    _lundberg_level,
     crossing_time,
     default_max_time,
     estimate,
@@ -406,6 +407,44 @@ class TestLundbergLevel:
         assert R > 0
         assert abs(lam * (mgf - 1.0) - c * R) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "lam, jumps", [(1.0, exponential(2.0)), (0.5, ERLANG3), (0.5, COXIAN3)],
+        ids=["exponential", "erlang3", "coxian3"],
+    )
+    def test_killed_level_rate_solves_kappa_minus_r_equals_q(self, lam, jumps):
+        # kappa(-R_q) = lam (E e^{R C} - 1) - c R = q makes
+        # e^{-q t - R_q (X_t - l)} a martingale, which bounds a censored
+        # path's lost weight by EPS at the level l + ln(1/EPS)/R_q - q t/R_q
+        c, q = 1.0, 0.5
+        m = ModelSpec(ConstantDrift(c), lam, q, jumps)
+        R = math.log(1.0 / EPS) / _lundberg_level(m, PassageProblem(0.0))
+        mgf = jumps.beta @ np.linalg.solve(-jumps.B - R * np.eye(jumps.n), jumps.b)
+        assert abs(lam * (mgf - 1.0) - c * R - q) <= 1e-12
+        # no level where the martingale argument does not apply
+        assert math.isinf(_lundberg_level(m, PassageProblem(0.0, 5.0)))
+        for other in (ModelSpec(ConstantDrift(-c), lam, q, jumps),
+                      ModelSpec(ConstantDrift(c), lam, q, jumps, "upward")):
+            assert math.isinf(_lundberg_level(other, PassageProblem(0.0)))
+
+    @pytest.mark.parametrize("kill_mode", ["weight", "horizon"])
+    def test_killed_start_past_the_level_is_censored_at_once(self, kill_mode):
+        m = const_model(q=0.5)
+        level = _lundberg_level(m, PassageProblem(0.0))
+        est = estimate(ruin_cfg(m, x0=level + 1.0, n=100, seed=0, kill_mode=kill_mode))
+        assert (est.n_censored, est.mean, est.censoring_bias_bound) == (100, 0.0, EPS)
+
+    def test_killed_level_stays_put_under_a_kill_horizon(self):
+        # Under an explicit kill horizon a live path's remaining ruin chance
+        # is psi_q(x) <= e^{-R_q (x - l)} at any age, so the level does not
+        # fall: a path started just below it is killed or stops there.
+        m = const_model(q=0.5)
+        level = _lundberg_level(m, PassageProblem(0.0))
+        est = estimate(ruin_cfg(m, x0=level - 0.5, n=2000, seed=1, kill_mode="horizon"))
+        assert est.n_ruined == 0 and est.n_censored > 0
+        assert est.n_censored + est.n_killed == 2000
+        assert est.censored_weight_bound == EPS
+        assert est.censoring_bias_bound == est.censored_fraction * EPS
+
     def test_pinned_case_bias_bound(self):
         # c=1, lam=1, mu=2: psi(x) = 0.5 e^{-x}; without a level 82% of the
         # paths ran to the horizon, each counted as a possible lost 1
@@ -486,7 +525,9 @@ def _stream_pin_cases():
 
 
 # (mean, std_error, n_ruined, n_escaped, n_censored, n_killed, overshoot
-# count, overshoot sum), recorded with the engine of commit e791a20.
+# count, overshoot sum), recorded with the engine of commit e791a20;
+# coxian3, the killed constant-drift case, since its paths stop at the
+# killed Lundberg level.
 STREAM_PINS = {
     "lundberg": (0.1859, 0.0038904540304772043, 1859, 0, 8141, 0, 1859, 953.4895590051416),
     "past_level": (0.0, 0.0, 0, 0, 100, 0, 0, 0.0),
@@ -495,7 +536,7 @@ STREAM_PINS = {
     "horizon_kill": (0.4736, 0.00706191065621927, 2368, 0, 0, 2632, 1319, 866.3157055280641),
     "relaxing": (0.3048858873886586, 0.0016108734189934466, 10000, 0, 0, 0, 4616, 3100.713175793679),
     "erlang3": (0.2434, 0.006069485623275355, 1217, 0, 3783, 0, 1217, 624.9416864224459),
-    "coxian3": (0.25731481027749215, 0.005534907935062281, 1620, 0, 3380, 0, 1620, 1624.324578085225),
+    "coxian3": (0.2576349496270408, 0.005533272647265571, 1626, 0, 3374, 0, 1626, 1615.220386734619),
     "impossible": (0.0, 0.0, 0, 500, 0, 0, 0, 0.0),
     "tabulated": (0.47059542316181097, 0.009240621245662054, 300, 0, 0, 0, 125, 81.20878195060598),
 }
@@ -521,6 +562,14 @@ class TestStreamPin:
             est.n_killed, est.overshoots.size, float(est.overshoots.sum()),
         )
         assert got == STREAM_PINS[name]
+
+    def test_killed_level_pin_agrees_with_the_ode_oracle(self):
+        # The killed stream censors at a level that falls with time; the
+        # pinned estimate must still bracket the ODE solution at 3 sigma.
+        model, problem, x0, *_ = _stream_pin_cases()["coxian3"]
+        mean, std_error = STREAM_PINS["coxian3"][:2]
+        psi = solve_bvp(model, problem, np.array([0.0, x0, 2.0 * x0])).psi[1]
+        assert abs(mean - psi) < 3.0 * std_error
 
 
 class TestPassageEstimateType:

@@ -185,6 +185,13 @@ class TestDrifts:
             assert d.phi(x) == d.phi(np.array([x]))[0]
             assert d.dphi(x) == d.dphi(np.array([x]))[0]
 
+    def test_clock_rule_is_numpys_gauss_legendre_rule(self):
+        # Written out so that no step imports numpy.polynomial; tabulated
+        # outputs stay byte for byte what leggauss(10) gave them.
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert_array_equal(passage_model._GL_NODES, nodes)
+        assert_array_equal(passage_model._GL_WEIGHTS, weights)
+
     def test_drift_serialization_round_trip(self):
         for d in (ConstantDrift(1.5), SegerdahlDrift(**FIG1),
                   TabulatedDrift((0.0, 1.0), (1.0, 2.0), "linear")):

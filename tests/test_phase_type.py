@@ -133,6 +133,74 @@ class TestDensity:
             assert density(pt, x) == pytest.approx(fd, abs=1e-6)
 
 
+LAWS = {
+    "exp": exponential(1.5),
+    "erlang3": erlang(3, 3.0),
+    "coxian3": coxian([3.0, 2.0, 1.0], [0.7, 0.5]),
+    "mixed": PhaseType([0.3, 0.7], [[-2.0, 1.0], [0.5, -3.0]]),
+}
+
+
+class TestUniformisedTailAndDensity:
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("f", [tail, density])
+    def test_array_equals_scalar_calls_bit_for_bit(self, f, name):
+        pt = LAWS[name]
+        theta = np.abs(np.diag(pt.B)).max()
+        rng = np.random.default_rng(5)
+        # points inside the first window, on window edges and a few windows out
+        xs = np.concatenate([rng.uniform(0.0, 12.0, 200), np.array([31.999, 32.0, 64.0, 200.0]) / theta])
+        got = f(pt, xs.reshape(4, -1))
+        assert got.shape == (4, xs.size // 4)
+        scalar = [f(pt, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(got.ravel(), np.array(scalar))
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_zero_gives_beta_against_one_and_b(self, name):
+        pt = LAWS[name]
+        one, b = float(pt.beta @ np.ones(pt.n)), float(pt.beta @ pt.b)
+        assert tail(pt, 0.0) == one and density(pt, 0) == b
+        assert np.all(tail(pt, np.zeros(3)) == one) and np.all(density(pt, np.zeros(3)) == b)
+
+    @pytest.mark.parametrize("f", [tail, density])
+    @pytest.mark.parametrize("x", [-1e-300, [0.5, -0.1], np.array([[1.0], [np.nan]]), np.inf])
+    def test_negative_or_nonfinite_point_raises(self, f, x):
+        with pytest.raises(ValueError, match="nonnegative"):
+            f(LAWS["coxian3"], x)
+
+    def test_stiff_law_far_out_stays_accurate(self):
+        # theta x reaches 10^6: 31 250 windows of the slow phase
+        a, c, p = 1000.0, 0.01, 0.5
+        pt = coxian([a, c], [p])
+        xs = np.linspace(0.0, 1e3, 1001)
+        exact = np.exp(-a * xs) + p * a / (a - c) * (np.exp(-c * xs) - np.exp(-a * xs))
+        expm = np.array([pt.beta @ matrix_exp(pt.B, x) @ np.ones(2) for x in xs])
+        got = tail(pt, xs)
+        assert np.abs(got - exact).max() <= 1e-12
+        # matrix_exp misses the closed form by 1.4e-12 here itself
+        assert np.abs(got - expm).max() <= np.abs(expm - exact).max() + 1e-12
+        assert tail(pt, 1e12) == 0.0
+
+    @pytest.mark.parametrize(
+        "B, message",
+        [
+            ([[-2.0, -0.5], [0.0, -1.0]], r"entry \(0, 1\) = -0.5 is negative"),
+            # nonnegative off-diagonal entries, but row sums 2 > 0: P = I + B/theta
+            # would have row sums 3 and the series terms would grow like 3^k
+            ([[-1.0, 3.0], [3.0, -1.0]], r"row 0 sums to 2 > 0"),
+        ],
+        ids=["negative-off-diagonal", "positive-row-sum"],
+    )
+    def test_non_subgenerator_is_rejected(self, B, message):
+        pt = PhaseType([1.0, 0.0], B)
+        for f in (tail, density):
+            with pytest.raises(ValueError, match=message):
+                f(pt, 1.0)
+            with pytest.raises(ValueError, match=message):
+                f(pt, np.array([1.0, 30.0]))
+
+
 def uncached_sample(pt, rng, size=None):
     """The sampler as it was before its tables were cached on the law: the
     embedded chain rebuilt per call and start phases drawn by ``rng.choice``."""
@@ -222,7 +290,7 @@ class TestSample:
         rng = np.random.default_rng(21)
         n = 10**5
         draws = sample(pt, rng, size=n)
-        res = stats.kstest(draws, lambda x: 1.0 - np.vectorize(lambda v: tail(pt, v))(x))
+        res = stats.kstest(draws, lambda x: 1.0 - tail(pt, x))
         assert res.statistic < 1.63 / math.sqrt(n)  # 1% critical value
         assert res.pvalue > 0.01
 
