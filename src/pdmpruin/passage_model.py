@@ -13,21 +13,23 @@ positive the linear two-point problem, whose boundary data alone depend on
 the posed problem, split into two initial-value integrations by the Riccati
 equation of the ratios that carry the far-end condition (the paper's ratio
 reduction, extended to n phases).  Constant positive drift on a one-sided
-ruin problem is solved exactly instead: the system matrix is constant (its
-Lie closure is one-dimensional), so the decaying solution is spanned by the
-n stable eigenvectors, Y(x) = V_s e^{Lambda_s (x-l)} c with M(l) = 1.
+ruin problem is solved exactly instead, by the ladder-height law: with Phi
+the largest root of kappa(theta) = c theta - lam (1 - beta (theta I -
+B)^{-1} b) = q, M(x) = e^{G (x-l)} 1 and Psi(x) = beta_q M(x), tails of
+phase-type laws, for G = B + b beta_q and beta_q = (lam/c) beta (Phi I -
+B)^{-1} (Asmussen & Albrecher, 2010, ch. IX; Kyprianou, 2014, ch. 8).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
 
-from .phase_type import PhaseType, validate
+from .phase_type import PhaseType, tail, validate
 
 __all__ = [
     "ConstantDrift",
@@ -897,14 +899,6 @@ def _nonstable_left_row(Amat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(V[:, nonstable[0]].real)
 
 
-def _net_profit(model: ModelSpec) -> bool:
-    """Whether constant drift c outruns the mean jump outflow: c > lam E[C].
-
-    Without it, and without killing, ruin below is certain.
-    """
-    return model.drift.c > model.jump_rate * model.jumps.mean()
-
-
 def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
     """Whether a ``ruin_below`` problem has a known answer.
 
@@ -913,7 +907,7 @@ def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
       reflection y = -x of downward jumps with negative drift posed as exit
       above.  Psi = M = 0, for any drift kind, kill rate and upper level.
     * One-sided constant drift at zero kill with downward jumps,
-      ``"certain"`` without net profit (Psi = M = 1), and
+      ``"certain"`` without net profit, c <= lam E[C] (Psi = M = 1), and
       ``"lundberg"``-bounded with it: psi(u) <= e^{-R u}, with R the slowest
       decay rate of the constant system matrix.
 
@@ -929,62 +923,65 @@ def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
         return "impossible" if rises else None
     if model.drift.kind != "constant" or model.kill_rate != 0 or problem.upper is not None:
         return None
-    return "lundberg" if _net_profit(model) else "certain"
+    return "lundberg" if model.drift.c > model.jump_rate * model.jumps.mean() else "certain"
 
 
-def _stable_eigen_solution(Amat: np.ndarray, t: np.ndarray):
-    """Decaying solution of Y' = Amat Y with M(0) = 1, at the offsets ``t >= 0``.
-
-    Y(t) = Re(V_s e^{Lambda_s t} c) from the n decaying eigenpairs of the
-    constant matrix, with V_s[1:] c = 1.  Returns ``(Y, bound, residual)``:
-    Y shaped (n+1, len(t)), a bound on the rounding error of each column,
-    and max |M(0) - 1|.  Returns None when the eigenbasis is too
-    ill-conditioned for that bound to stay below ``BVP_BC_TOL``.
-
-    The computed curve solves Y' = A Y - f exactly, with the forcing
-    f(t) = sum_i r_i c_i e^{lam_i t} made of the eigen-residuals
-    r_i = A v_i - lam_i v_i, and misses M(0) = 1 by the residual of the
-    solve for c.  The bound is the response of the decaying problem to both
-    (its Green's function, split by the spectral projectors V_s W_s and
-    V_u W_u of the computed eigenbasis), plus the rounding of the
-    evaluation; it is first order in the rounding unit.
+def _resolvent(B: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
+    """R = (theta I - B)^{-1}, theta >= 0, and a bound on the relative rounding
+    of R 1 (entrywise) and of beta R (1-norm): R >= 0 (theta I - B is an
+    M-matrix), so the residual E = I - T R' of the computed R' gives
+    |R - R'| 1 = |R E| 1 <= e R 1, e the largest row sum of |E| and its rounding.
     """
-    dim = Amat.shape[0]
-    n = dim - 1
-    w, V = np.linalg.eig(Amat)
-    stable = w.real < -1e-12
-    if stable.sum() != n:
-        raise NumericalError(f"decaying eigenspace has dimension {stable.sum()}, expected {n}")
-    try:
-        W = np.linalg.inv(V)
-        c = np.linalg.solve(V[1:, stable], np.ones(n))
-    except np.linalg.LinAlgError:  # defective: no eigenbasis
-        return None
-    Vs, Vu, ws = V[:, stable], V[:, ~stable], w[stable]
-    modes = np.exp(np.outer(t, ws))  # (len(t), n)
-    Y = (modes @ (Vs * c).T).T.real
-    bres = float(np.abs((Vs[1:] @ c).real - 1.0).max())
+    n, eps = B.shape[0], np.finfo(float).eps
+    T = theta * np.eye(n) - B
+    R = np.linalg.inv(T)
+    e = (np.abs(np.eye(n) - T @ R) + (n + 1) * eps * (1.0 + np.abs(T) @ np.abs(R))).sum(axis=1).max()
+    if not e < 0.5:
+        raise NumericalError(f"the jump law's resolvent is too ill-conditioned (e = {e:.1e})")
+    return R, e / (1.0 - e) + (n + 1) * eps
 
-    u = np.finfo(float).eps
-    norm = np.linalg.norm
-    v_norms = norm(Vs, axis=0)
-    r = norm(Amat @ Vs - Vs * ws, axis=0) + dim * u * (norm(Amat) + np.abs(ws)) * v_norms
-    forcing = np.abs(c) * r  # |f(t)| <= sum_i forcing_i e^{Re lam_i t}
-    rho = ws.real
-    decay = np.exp(t * rho.max())
-    ahead = forcing / (w.real[~stable].min() - rho)  # the unstable part, integrated to infinity
-    delta = math.sqrt(n) * bres + dim * u * (norm(Vs[1:], 2) * norm(c) + math.sqrt(n))
-    growth = 1.0 + np.abs(ws) * t[:, None]
-    bound = (
-        (dim + 4) * u * (np.abs(modes) * growth) @ (np.abs(c) * v_norms)  # evaluation
-        + norm(Vs, 2) * norm(W[stable], 2) * t * decay * forcing.sum()  # stable response
-        + norm(Vu, 2) * norm(W[~stable], 2) * (np.abs(modes) @ ahead)  # unstable response
-        + norm(Vs, 2) * decay / np.linalg.svd(Vs[1:], compute_uv=False)[-1]
-        * (delta + norm(Vu[1:], 2) * norm(W[~stable], 2) * ahead.sum())  # boundary correction
-    )
-    if not np.all(bound <= BVP_BC_TOL):
-        return None
-    return Y, bound, bres
+
+def _ladder_solution(model: ModelSpec, t: np.ndarray):
+    """(Psi, M) at the offsets ``t >= 0`` above l, shaped (n+1, len(t)), and
+    the error estimate of :func:`solve_bvp`.
+
+    Zero kill has Phi = 0 (with net profit; certain ruin is answered
+    before).  With q > 0, Phi is enclosed in [lo, hi]: kappa(theta) =
+    theta (c - lam beta (theta I - B)^{-1} 1), as b = -B 1, is convex with
+    kappa(0) = 0 and kappa >= c theta - lam, so kappa - q changes sign once,
+    at Phi < 2 (lam + q) / c.  Each end is bisected over the floats and
+    moves only where that sign is certain given the rounding of kappa: no
+    slope is assumed, as kappa'(Phi) >= c - lam E[C] only.
+    """
+    jumps, c, lam, q = model.jumps, model.drift.c, model.jump_rate, model.kill_rate
+    eps = np.finfo(float).eps
+
+    @cache
+    def excess(theta):  # kappa(theta) - q and a bound on its rounding
+        R, rel = _resolvent(jumps.B, theta)
+        m = float(jumps.beta @ R.sum(axis=1))
+        return theta * (c - lam * m) - q, theta * lam * m * rel + 4.0 * eps * (theta * (c + lam * m) + q)
+
+    def bisect(moves_lower):
+        a, b = 0.0, 2.0 * (lam + q) / c
+        while a < (mid := 0.5 * (a + b)) < b:
+            a, b = (mid, b) if moves_lower(*excess(mid)) else (a, mid)
+        return a, b
+
+    @cache
+    def ladder(phi):  # (Psi, M) for the root phi, and beta_q's relative rounding
+        R, rel = _resolvent(jumps.B, phi)
+        # Nonnegative in exact arithmetic; clipped so that G stays a subgenerator.
+        beta_q = np.maximum(lam / c * (jumps.beta @ R), 0.0)
+        G = jumps.B + np.outer(jumps.b, beta_q)
+        return np.array([tail(PhaseType(s, G), t) for s in (beta_q, *np.eye(jumps.n))]), rel
+
+    lo = bisect(lambda v, err: v + err < 0.0)[0] if q else 0.0
+    hi = bisect(lambda v, err: v - err <= 0.0)[1] if q else 0.0
+    (Y_lo, rel_lo), (Y_hi, rel_hi) = ladder(lo), ladder(hi)
+    series = 64.0 + 4.0 * (jumps.n + 5) * np.abs(np.diag(jumps.B)).max() * t
+    rounding = max(rel_lo, rel_hi) * (1.0 + jumps.b.max() * t) + eps * series
+    return 0.5 * (Y_lo + Y_hi), 0.5 * np.abs(Y_lo - Y_hi).max(axis=0) + 2.0 * rounding
 
 
 # Tolerances of :func:`solve_bvp`: relative and absolute ones of every
@@ -1009,16 +1006,16 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     initial-value problem (a finite upper level changes nothing since it
     cannot be reached), and exit above is impossible: Psi = M = 0.
 
-    With constant positive drift and no upper level the system matrix A is
-    constant, and the one-sided ``ruin_below`` problem is solved exactly
-    from its n decaying eigenpairs: Y(x) = Re(V_s e^{Lambda_s (x-l)} c)
-    with V_s[1:] c = 1 (numpy only, no mesh and no truncation point).  The
-    boundary residual is max |M(l) - 1|, and the error estimate is a
-    pointwise bound on the rounding error of that exact solution, built
-    from the eigen-residuals and the conditioning of the eigenbasis.  At
-    zero kill without net profit (c <= lam E[C]) ruin is certain and
-    Psi = M = 1.  A near-defective A, whose bound would exceed
-    ``BVP_BC_TOL``, goes to the two-point solve below.
+    With constant positive drift and no upper level the one-sided
+    ``ruin_below`` problem is solved exactly by the ladder-height form of the
+    module docstring, as phase-type tails; M(l) = 1 exactly, so the boundary
+    residual is 0.  At zero kill Phi = 0 (or ruin is certain, Psi = M = 1,
+    without net profit: c <= lam E[C]); with killing, Phi is enclosed in
+    [Phi_lo, Phi_hi] allowing for the rounding of kappa.  Psi and M decrease
+    in Phi: the curve is the mean of the ends' values, and the error
+    estimate half their difference plus twice a rounding term, beta_q's from
+    its resolvent times (1 + max b (x-l)) plus
+    eps (64 + 4 (n + 5) max |B_ii| (x-l)) for the series and G's entries.
 
     Every other positive-drift problem is the same linear two-point problem
     on [l, x_end], M(l) = m_l and w . Y(x_end) = g, solved by two
@@ -1028,11 +1025,11 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
 
     * ``exit_above``: M(l) = 0, Psi(L) = 1, with x_end = L;
     * two-sided ``ruin_below``: M(l) = 1, Psi(L) = 0, with x_end = L;
-    * one-sided ``ruin_below``: M(l) = 1 plus decay at a truncation point
-      x_end = X_max, where w . Y = 0 with w the left eigenvector of the one
-      non-decaying mode of the system matrix projects it out; X_max is
-      pushed far enough that the truncation error certificate is below
-      ``BVP_BC_TOL``.
+    * one-sided ``ruin_below`` (non-constant drift): M(l) = 1 plus decay at
+      a truncation point x_end = X_max, where w . Y = 0 with w the left
+      eigenvector of the one non-decaying mode of the system matrix
+      projects it out; X_max is pushed far enough that the truncation error
+      certificate is below ``BVP_BC_TOL``.
 
     There, and in the initial-value branch, the boundary residual is the
     largest violation of the posed conditions, the error estimate is the
@@ -1081,10 +1078,9 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
         raise NumericalError("the dual risk model (negative drift, upward jumps, no upper "
                              "level) is not solved: its reflection has no finite lower level")
     if positive and model.drift.kind == "constant" and math.isinf(L):
-        exact = _stable_eigen_solution(A(l), grid - l)
-        if exact is not None:
-            Y, err, bres = exact
-            return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, bres)
+        # A grid start a hair below l (see the check above) is read as l.
+        Y, err = _ladder_solution(model, np.maximum(grid - l, 0.0))
+        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, 0.0)
 
     if not positive:
 

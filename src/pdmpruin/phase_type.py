@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -169,19 +169,19 @@ class PhaseType:
         return f"PhaseType(beta={self.beta.tolist()}, B={self.B.tolist()})"
 
 
-def _series_length(mean: float) -> int:
-    """Fewest Poisson terms K whose dropped mass P[N >= K] is provably below
-    :data:`_TRUNCATION` for every Poisson mean up to ``mean``.
+@cache
+def _poisson_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The indices k < K of a window's series and ln k!, the same for every law.
 
+    K is the fewest terms whose dropped mass P[N >= K] is provably below
+    :data:`_TRUNCATION` for every Poisson mean m up to :data:`_WINDOW`:
     P[N >= K] <= Pois(K; m) (K + 1) / (K + 1 - m) for K + 1 > m (the tail
     against a geometric series), and the bound grows with m below K.
     """
-    K = math.ceil(mean)
-    while True:
-        pois = math.exp(K * math.log(mean) - mean - math.lgamma(K + 1.0))
-        if pois * (K + 1) / (K + 1 - mean) < _TRUNCATION:
-            return K
+    m, K = _WINDOW, math.ceil(_WINDOW)
+    while math.exp(K * math.log(m) - m - math.lgamma(K + 1.0)) * (K + 1) / (K + 1 - m) >= _TRUNCATION:
         K += 1
+    return np.arange(K, dtype=float), np.array([math.lgamma(k + 1.0) for k in range(K)])
 
 
 class _Uniformisation:
@@ -214,13 +214,11 @@ class _Uniformisation:
             i = bad[0]
             raise ValueError(f"B is not a subgenerator: row {i} sums to {-b[i]:g} > 0")
         self._P = np.eye(n) + B / self.theta
-        K = _series_length(_WINDOW)
-        self.k = np.arange(K, dtype=float)
-        self.log_factorial = np.array([math.lgamma(k + 1.0) for k in range(K)])
-        V = np.empty((K, n, 2))  # the columns P^k 1 and P^k b
+        self.k, self.log_factorial = _poisson_terms()
+        V = np.empty((self.k.size, n, 2))  # the columns P^k 1 and P^k b
         V[0, :, 0] = 1.0
         V[0, :, 1] = b
-        for k in range(1, K):
+        for k in range(1, self.k.size):
             V[k] = self._P @ V[k - 1]
         self._V = V
         self._beta = pt.beta

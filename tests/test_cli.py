@@ -64,7 +64,7 @@ ERLANG3_JUMPS = {
 }
 
 
-# Constant drift with Erlang-3 jumps and killing: solved from the stable eigenspace.
+# Constant drift with Erlang-3 jumps and killing: solved by the ladder-height law.
 ERLANG3_CONST_CONFIG = {
     **CONST_CONFIG,
     "model": {**CONST_CONFIG["model"], "kill_rate": 0.5, "jumps": ERLANG3_JUMPS},
@@ -381,6 +381,17 @@ class TestExitCodes:
         assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert {tuple(r[1:]) for r in rows} == {("1", "1", "1", "1", "ode_bvp")}
+
+    def test_near_critical_net_profit_solves(self, tmp_path):
+        # Erlang-3 jumps with mean 1 and jump rate 1 at c = 1.0001: solve used
+        # to exit 2 ("truncation certificate failure at X_max").
+        cfg = with_value(CONST_CONFIG, ("model", "jumps"), ERLANG3_JUMPS)
+        path = write_config(tmp_path, with_value(cfg, ("model", "drift", "c"), 1.0001))
+        out = tmp_path / "s.csv"
+        proc = run_cli(["solve", "--config", path, "--output", str(out), "--quiet"], timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        first = out.read_text().splitlines()[1].split(",")
+        assert first[0] == "0" and abs(float(first[1]) - 1.0 / 1.0001) <= 1e-13
 
     def test_positive_drift_with_upward_jumps_is_never_ruined(self, tmp_path, capsys):
         # solve used to exit 2 ("decaying eigenspace has dimension 0,

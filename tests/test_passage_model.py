@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -596,8 +597,35 @@ def high_precision_solution(A, t, digits=40):
         ])
 
 
+def ladder_reference(model, t, digits=50):
+    """(Psi, M) of the ladder-height form in ``digits`` digits, from the
+    model's parameters: Phi by bisection, then beta_q, G and e^{G t}."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        jumps = model.jumps
+        n = jumps.n
+        B = mpmath.matrix(jumps.B.tolist())
+        beta = mpmath.matrix([jumps.beta.tolist()])
+        one = mpmath.matrix([[1]] * n)
+        c, lam, q = (mpmath.mpf(v) for v in (model.drift.c, model.jump_rate, model.kill_rate))
+
+        def excess(theta):  # kappa(theta) - q, with b = -B 1
+            return theta * (c - lam * (beta * mpmath.lu_solve(theta * mpmath.eye(n) - B, one))[0]) - q
+
+        lo, hi = mpmath.mpf(0), 2 * (lam + q) / c
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+        beta_q = (lam / c) * beta * mpmath.inverse(lo * mpmath.eye(n) - B)
+        G = B - (B * one) * beta_q
+        cols = [mpmath.expm(G * mpmath.mpf(float(x))) * one for x in t]
+        return np.array([[float((beta_q * M)[0]) for M in cols]]
+                        + [[float(M[i]) for M in cols] for i in range(n)])
+
+
 class TestConstantDriftEigenSolution:
-    """One-sided constant drift: the exact solution from the stable eigenspace."""
+    """One-sided constant drift: the exact solution from the ladder-height law."""
 
     @pytest.mark.parametrize("q", [0.0, 0.5])
     @pytest.mark.parametrize("law", sorted(MULTI_PHASE_LAWS))
@@ -676,20 +704,44 @@ class TestConstantDriftEigenSolution:
         certain = np.all(solve_bvp(m, problem, np.linspace(0.0, 2.0, 5)).psi == 1.0)
         assert certain == math.isinf(_lundberg_level(m, problem))
 
-    def test_defective_matrix_has_no_eigen_solution(self):
-        # A Jordan block: two decaying eigenvalues, one eigenvector.
-        A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
-        assert passage_model._stable_eigen_solution(A, np.linspace(0.0, 1.0, 5)) is None
+    @pytest.mark.parametrize("ratio", [1.0001, 1.001, 1.003])
+    @pytest.mark.parametrize("law", sorted(MULTI_PHASE_LAWS))
+    def test_near_critical_zero_kill_gives_the_exact_ruin_level(self, law, ratio):
+        # psi(l) = lam E[C] / c: the two-point solve refused these, or took
+        # 10 s and more, or missed this value by more than 1e-13.
+        jumps = MULTI_PHASE_LAWS[law]
+        load = 0.5 * jumps.mean()
+        m = ModelSpec(ConstantDrift(ratio * load), 0.5, 0.0, jumps)
+        t0 = time.perf_counter()
+        curve = solve_bvp(m, PassageProblem(0.0), np.linspace(0.0, 10.0, 101))
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(curve.psi[0] - load / (ratio * load)) <= 1e-13
+        assert np.all(curve.m[0] == 1.0)
 
-    def test_ill_conditioned_eigenbasis_goes_to_collocation(self, monkeypatch):
-        calls = counted_collocation(monkeypatch)
-        monkeypatch.setattr(passage_model, "_stable_eigen_solution", lambda A, t: None)
-        m = const_model()
-        grid = np.linspace(0.0, 5.0, 21)
+    @pytest.mark.parametrize(
+        "law, ratio, q",
+        [(law, ratio, q) for law in ("coxian3", "erlang3") for ratio in (1.0001, 0.999)
+         for q in (1e-8, 1e-6)] + [("hyperexp", 1.0001, 1e-8), ("hyperexp", 0.999, 1e-8)],
+    )
+    def test_killed_near_critical_error_estimate_bounds_the_true_error(self, law, ratio, q):
+        # The two-point solve ran past 40 s on these, or missed by more than
+        # its error estimate.
+        jumps = MULTI_PHASE_LAWS[law]
+        m = ModelSpec(ConstantDrift(ratio * 0.5 * jumps.mean()), 0.5, q, jumps)
+        grid = np.linspace(0.0, 10.0, 11)
+        t0 = time.perf_counter()
         curve = solve_bvp(m, PassageProblem(0.0), grid)
-        assert len(calls) == 2
-        psi, _ = constant_drift_solution(m, grid)
-        assert np.max(np.abs(curve.psi - psi)) < 1e-7
+        assert time.perf_counter() - t0 < 1.0
+        want = ladder_reference(m, grid)
+        err = np.abs(np.vstack([curve.psi, curve.m.T]) - want).max(axis=0)
+        assert np.all(err <= curve.error_estimate)
+        assert curve.error_estimate.max() <= 1e-8
+
+    def test_grid_a_hair_below_the_lower_level_is_read_as_it(self):
+        # solve_bvp accepts a grid from l - 1e-12; phase_type.tail refuses x < 0.
+        m = ModelSpec(ConstantDrift(1.0), 0.5, 0.5, erlang(3, 3.0))
+        curve = solve_bvp(m, PassageProblem(0.0), np.linspace(-1e-13, 5.0, 11))
+        assert_allclose(curve.m[0], 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("jumps", [exponential(1.0), erlang(3, 3.0)], ids=["exp", "erlang3"])
     def test_negative_drift_with_upward_jumps_is_rejected(self, jumps):
