@@ -31,7 +31,7 @@ from .passage_model import (
     NumericalError,
     PassageProblem,
     _decay_certificate,
-    _ruin_verdict,
+    _route,
     assemble_system,
     require_finite,
 )
@@ -241,12 +241,11 @@ def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
     """Level past which a path's remaining ruin weight is below :data:`EPS`.
 
     It is ``lower + ln(1/EPS)/R``, with R the slowest decay rate of the
-    constant system matrix, on one-sided ruin problems with constant drift
-    c > 0 and downward jumps:
+    constant system matrix, where :func:`passage_model._route` takes the
+    ladder route:
 
-    * at zero kill, where :func:`passage_model._ruin_verdict` finds net
-      profit, R is the adjustment coefficient and Lundberg's inequality
-      psi(u) <= e^{-R u} holds for any jump law;
+    * at zero kill R is the adjustment coefficient, and Lundberg's
+      inequality psi(u) <= e^{-R u} holds for any jump law;
     * with killing q > 0, R = R_q solves kappa(-R_q) = q for the Laplace
       exponent kappa of the process, so e^{-q t - R_q (X_t - lower)} is a
       martingale and psi_q(u) <= e^{-R_q u} (Asmussen & Albrecher, Ruin
@@ -258,15 +257,7 @@ def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
 
     Every other posed problem, certain ruin included, gets +inf: no level.
     """
-    killed = (
-        model.kill_rate > 0
-        and problem.estimand == "ruin_below"
-        and problem.upper is None
-        and model.jump_direction == "downward"
-        and model.drift.kind == "constant"
-        and model.drift.c > 0
-    )
-    if not killed and _ruin_verdict(model, problem) != "lundberg":
+    if _route(model, problem) != "ladder":
         return math.inf
     try:
         _, rate = _decay_certificate(assemble_system(model)(problem.lower))
@@ -394,7 +385,7 @@ def _run_block(
             if jump_hits.any():
                 overshoots.append(overshoot[jump_hits])
 
-    if _ruin_verdict(model, problem) == "impossible":
+    if want_ruin and _route(model, problem) == "impossible":
         # Nothing moves a path down to l: each escapes to +inf, with weight 0.
         finish(np.arange(n), "escaped", np.zeros(n), np.zeros(n))
         return weights, counts, np.concatenate(overshoots)

@@ -899,31 +899,40 @@ def _nonstable_left_row(Amat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(V[:, nonstable[0]].real)
 
 
-def _ruin_verdict(model: ModelSpec, problem: PassageProblem) -> str | None:
-    """Whether a ``ruin_below`` problem has a known answer.
+def _route(model: ModelSpec, problem: PassageProblem) -> str:
+    """How :func:`solve_bvp` answers a problem; Monte Carlo reads it too.
 
-    * ``"impossible"``: upward jumps with drift positive at the lower level
-      (inside the drift's sign domain) never bring a path down to it: the
-      reflection y = -x of downward jumps with negative drift posed as exit
-      above.  Psi = M = 0, for any drift kind, kill rate and upper level.
-    * One-sided constant drift at zero kill with downward jumps,
-      ``"certain"`` without net profit, c <= lam E[C] (Psi = M = 1), and
-      ``"lundberg"``-bounded with it: psi(u) <= e^{-R u}, with R the slowest
-      decay rate of the constant system matrix.
+    Upward jumps are routed as their reflection y = -x: downward jumps, the
+    drift -phi(-y) on [-L, -l], and the estimands swapped.  In that frame,
+    with the drift's sign taken at the lower level (inside its sign domain):
 
-    Every other problem, killed or two-sided downward-jump ones included,
-    gets None: it has to be solved.
+    * ``"impossible"``: exit above with negative drift, Psi = M = 0.
+    * ``"initial_value"``: ruin below with negative drift.  Ruin from l is
+      immediate, Psi(l) = M(l) = 1, and a finite upper level is never reached.
+    * ``"two_point_exit"``, ``"two_point_ruin"``: two-sided, positive drift.
+    * ``"dual"``: positive drift and no finite lower level, the reflected dual
+      risk model (negative drift, upward jumps, no upper level): refused.
+    * One-sided problems with constant positive drift c: ``"certain"`` at
+      zero kill without net profit, c <= lam E[C] (Psi = M = 1), and else
+      ``"ladder"``, the ladder-height form of the module docstring.  Only
+      there does Lundberg's inequality give Monte Carlo a level.
+    * ``"truncated"``: one-sided problems with other positive drift.
     """
-    if problem.estimand != "ruin_below":
-        return None
-    if model.jump_direction == "upward":
-        dom = model.drift.sign_domain
-        inside = dom is not None and dom[0] <= problem.lower <= dom[1]
-        rises = inside and model.drift.phi(problem.lower) > 0
-        return "impossible" if rises else None
-    if model.drift.kind != "constant" or model.kill_rate != 0 or problem.upper is not None:
-        return None
-    return "lundberg" if model.drift.c > model.jump_rate * model.jumps.mean() else "certain"
+    drift, l, dom = model.drift, problem.lower, model.drift.sign_domain
+    upward = model.jump_direction == "upward"  # flips the sign and the estimand
+    positive = upward != (dom is not None and dom[0] <= l <= dom[1] and drift.phi(l) > 0)
+    ruin = upward != (problem.estimand == "ruin_below")
+    if not positive:
+        return "initial_value" if ruin else "impossible"
+    if problem.upper is not None:
+        return "two_point_ruin" if ruin else "two_point_exit"
+    if upward:
+        return "dual"
+    if drift.kind != "constant":
+        return "truncated"
+    if model.kill_rate == 0 and drift.c <= model.jump_rate * model.jumps.mean():
+        return "certain"
+    return "ladder"
 
 
 def _resolvent(B: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
@@ -994,44 +1003,38 @@ BVP_BC_TOL = 1e-8
 def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     """Numerical oracle for the passage system with the posed boundary data.
 
-    Upward jumps are solved as downward ones: the reflection y = -x turns
-    the system into dY/dy = -A(-y) Y, the downward one with drift -phi(-y)
-    on [-L, -l], and swaps ``ruin_below`` and ``exit_above``; the results
-    are read back reversed.  The dual risk model (negative drift, upward
-    jumps, no upper level) reflects to no finite lower level and raises
+    :func:`_route` decides how a problem is answered.  Upward jumps are
+    solved as their reflection y = -x, which turns the system into
+    dY/dy = -A(-y) Y, the downward one on [-L, -l]; the results are read
+    back reversed.  Psi = M = 0 and Psi = M = 1 are exact, with a zero error
+    estimate and boundary residual, and the dual risk model raises
     :class:`NumericalError`.
 
-    With negative drift ruin from the lower level is immediate, so
-    Psi(l) = M(l) = 1 and the system is integrated forward as an
-    initial-value problem (a finite upper level changes nothing since it
-    cannot be reached), and exit above is impossible: Psi = M = 0.
-
-    With constant positive drift and no upper level the one-sided
-    ``ruin_below`` problem is solved exactly by the ladder-height form of the
-    module docstring, as phase-type tails; M(l) = 1 exactly, so the boundary
-    residual is 0.  At zero kill Phi = 0 (or ruin is certain, Psi = M = 1,
-    without net profit: c <= lam E[C]); with killing, Phi is enclosed in
+    The ladder route evaluates the ladder-height form of the module
+    docstring as phase-type tails; M(l) = 1 exactly, so the boundary
+    residual is 0.  At zero kill Phi = 0; with killing, Phi is enclosed in
     [Phi_lo, Phi_hi] allowing for the rounding of kappa.  Psi and M decrease
     in Phi: the curve is the mean of the ends' values, and the error
     estimate half their difference plus twice a rounding term, beta_q's from
     its resolvent times (1 + max b (x-l)) plus
     eps (64 + 4 (n + 5) max |B_ii| (x-l)) for the series and G's entries.
 
-    Every other positive-drift problem is the same linear two-point problem
-    on [l, x_end], M(l) = m_l and w . Y(x_end) = g, solved by two
+    The initial-value route integrates the system forward from
+    Psi(l) = M(l) = 1.  The other routes are the same linear two-point
+    problem on [l, x_end], M(l) = m_l and w . Y(x_end) = g, solved by two
     initial-value integrations (:func:`_collocation`): the Riccati ratios
     that carry the far-end condition are integrated down to l, then M up
     from l.  Only the boundary data differ:
 
-    * ``exit_above``: M(l) = 0, Psi(L) = 1, with x_end = L;
-    * two-sided ``ruin_below``: M(l) = 1, Psi(L) = 0, with x_end = L;
-    * one-sided ``ruin_below`` (non-constant drift): M(l) = 1 plus decay at
-      a truncation point x_end = X_max, where w . Y = 0 with w the left
-      eigenvector of the one non-decaying mode of the system matrix
-      projects it out; X_max is pushed far enough that the truncation error
-      certificate is below ``BVP_BC_TOL``.
+    * ``"two_point_exit"``: M(l) = 0, Psi(L) = 1, with x_end = L;
+    * ``"two_point_ruin"``: M(l) = 1, Psi(L) = 0, with x_end = L;
+    * ``"truncated"``: M(l) = 1 plus decay at a truncation point
+      x_end = X_max, where w . Y = 0 with w the left eigenvector of the one
+      non-decaying mode of the system matrix projects it out; X_max is
+      pushed far enough that the truncation error certificate is below
+      ``BVP_BC_TOL``.
 
-    There, and in the initial-value branch, the boundary residual is the
+    There, and in the initial-value route, the boundary residual is the
     largest violation of the posed conditions, the error estimate is the
     discrepancy to a rerun at a looser tolerance, and a non-finite solution
     raises :class:`NumericalError`.
@@ -1058,62 +1061,56 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     if phis.max() > 0 and phis.min() < 0:
         raise ValueError("drift changes sign on the problem domain")
 
+    route = _route(model, problem)
+    if route in ("certain", "impossible"):
+        # Psi = M = 0 solves any linear system, and at zero kill A 1 = 0, so
+        # Psi = M = 1 solves this one.
+        Y = np.full((dim, grid.size), 1.0 if route == "certain" else 0.0)
+        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", np.zeros(grid.size), 0.0)
+    if route == "dual":
+        raise NumericalError("the dual risk model (negative drift, upward jumps, no upper "
+                             "level) is not solved: its reflection has no finite lower level")
+    if route == "ladder":
+        # A grid start a hair below l (see the check above) is read as l.
+        Y, err = _ladder_solution(model, np.maximum(grid - l, 0.0))
+        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, 0.0)
+
     # Upward jumps: solve the downward problem reflected by y = -x.  x is the
     # caller's grid, and back the order that reads the results back onto it.
-    positive, exit_above = phis[0] > 0, problem.estimand == "exit_above"
     x, back = grid, slice(None)
     if model.jump_direction == "upward":
         A_up = A
         A = lambda y: -A_up(-y)
         l, L, grid, back = -L, -l, -grid[::-1], slice(None, None, -1)
-        positive, exit_above = not positive, not exit_above
 
-    verdict = _ruin_verdict(model, problem) if positive else "impossible" if exit_above else None
-    if verdict in ("certain", "impossible"):
-        # Psi = M = 0 solves any linear system, and at zero kill A 1 = 0, so
-        # Psi = M = 1 solves this one.
-        Y = np.full((dim, grid.size), 1.0 if verdict == "certain" else 0.0)
-        return SolutionCurve(x, Y[0], Y[1:].T, "ode_bvp", np.zeros(grid.size), 0.0)
-    if math.isinf(l):
-        raise NumericalError("the dual risk model (negative drift, upward jumps, no upper "
-                             "level) is not solved: its reflection has no finite lower level")
-    if positive and model.drift.kind == "constant" and math.isinf(L):
-        # A grid start a hair below l (see the check above) is read as l.
-        Y, err = _ladder_solution(model, np.maximum(grid - l, 0.0))
-        return SolutionCurve(grid, Y[0], Y[1:].T, "ode_bvp", err, 0.0)
+    if route == "truncated":
+        # Probe the decay rate inside the sign domain; X_max is checked against its end.
+        dom_end = model.drift.sign_domain[1]
+        n_decay, rate = _decay_certificate(A(min(grid[-1] + 1.0, 0.5 * (grid[-1] + dom_end))))
+        if n_decay != n:
+            raise NumericalError(
+                "truncation certificate failure: decaying eigenspace has dimension "
+                f"{n_decay}, expected {n}"
+            )
+        x_end, m_l = float(grid[-1]) + math.log(1e10) / (-rate), 1.0
+        if x_end > dom_end:
+            raise NumericalError(
+                f"truncation point X_max = {x_end:g} lies past the end {dom_end:g} of "
+                f"the drift's sign domain: the slowest decay rate {-rate:g} is too "
+                "small to truncate the problem inside it"
+            )
+        w, g = _nonstable_left_row(A(x_end)), 0.0
+    elif route != "initial_value":
+        x_end, m_l = L, 0.0 if route == "two_point_exit" else 1.0
+        w, g = np.eye(dim)[0], 1.0 - m_l  # Psi(L) = 1 - M(l)
 
-    if not positive:
-
-        def compose(rt, at):
+    def compose(rt, at):
+        if route == "initial_value":
             solution = _integrate_columns(A, l, float(grid[-1]), np.ones(dim)[None, :], rt, at)
             return solution, abs(solution(np.array([l]))[:, 0] - 1.0).max()
-
-    else:
-        if math.isfinite(L):
-            x_end, m_l = L, 0.0 if exit_above else 1.0
-            w, g = np.eye(dim)[0], 1.0 - m_l  # Psi(L) = 1 - M(l)
-        else:
-            # Probe the decay rate inside the sign domain; X_max is checked against its end.
-            dom_end = model.drift.sign_domain[1]
-            n_decay, rate = _decay_certificate(A(min(grid[-1] + 1.0, 0.5 * (grid[-1] + dom_end))))
-            if n_decay != n:
-                raise NumericalError(
-                    "truncation certificate failure: decaying eigenspace has dimension "
-                    f"{n_decay}, expected {n}"
-                )
-            x_end, m_l = float(grid[-1]) + math.log(1e10) / (-rate), 1.0
-            if x_end > dom_end:
-                raise NumericalError(
-                    f"truncation point X_max = {x_end:g} lies past the end {dom_end:g} of "
-                    f"the drift's sign domain: the slowest decay rate {-rate:g} is too "
-                    "small to truncate the problem inside it"
-                )
-            w, g = _nonstable_left_row(A(x_end)), 0.0
-
-        def compose(rt, at):
-            solution = _collocation(A, l, x_end, w, g, m_l, rt, at)
-            ends = solution([l, x_end])
-            return solution, max(abs(ends[1:, 0] - m_l).max(), abs(w @ ends[:, 1] - g))
+        solution = _collocation(A, l, x_end, w, g, m_l, rt, at)
+        ends = solution([l, x_end])
+        return solution, max(abs(ends[1:, 0] - m_l).max(), abs(w @ ends[:, 1] - g))
 
     solution, bres = compose(BVP_RTOL, BVP_ATOL)
     vals = solution(grid)  # (dim, len(grid))

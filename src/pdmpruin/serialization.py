@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc_sim import SimConfig
 from .passage_model import ModelSpec, PassageProblem, require_finite
 
 __all__ = [
@@ -71,7 +70,11 @@ class RunConfig:
     sim: dict | None = None
     output: dict | None = None
 
-    def sim_config(self, **overrides) -> SimConfig:
+    def sim_config(self, **overrides):
+        """The :class:`mc_sim.SimConfig` of the fields set here, with its own
+        defaults; imported here, so that loading a config loads no engine."""
+        from .mc_sim import SimConfig
+
         if self.problem is None:
             raise ConfigError("a 'problem' block is required for simulation", "$.problem")
         sim = dict(self.sim or {})
@@ -82,6 +85,9 @@ class RunConfig:
         n_paths = _integer(sim["n_paths"], "$.sim.n_paths")
         seed = _integer(sim["seed"], "$.sim.seed")
         try:
+            given = {"flow_tolerance": float(sim["flow_tolerance"])} if "flow_tolerance" in sim else {}
+            if "kill_mode" in sim:
+                given["kill_mode"] = sim["kill_mode"]
             return SimConfig(
                 model=self.model,
                 problem=self.problem,
@@ -89,8 +95,7 @@ class RunConfig:
                 n_paths=n_paths,
                 seed=seed,
                 max_time=None if sim.get("max_time") is None else float(sim["max_time"]),
-                flow_tolerance=float(sim.get("flow_tolerance", 1e-10)),
-                kill_mode=sim.get("kill_mode", "weight"),
+                **given,
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), "$.sim") from exc

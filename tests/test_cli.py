@@ -557,6 +557,24 @@ class TestExitCodes:
         assert "slowest decay rate 2.8" in err
         assert not out.exists()
 
+    def test_truncation_without_net_profit_is_numerical_error(self, tmp_path, capsys):
+        # Drift 0.8 against Erlang-3 jumps of mean 1 at zero kill: without net
+        # profit one mode of the system matrix does not decay.
+        cfg = with_value(
+            CONST_CONFIG,
+            ("model", "drift"),
+            {"kind": "tabulated", "x": [0.0, 300.0], "values": [0.8, 0.8], "interpolation": "linear"},
+        )
+        cfg["model"]["jumps"] = ERLANG3_JUMPS
+        out = tmp_path / "s.csv"
+        argv = ["solve", "--config", write_config(tmp_path, cfg), "--output", str(out), "--quiet"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: truncation certificate failure: decaying eigenspace has "
+            "dimension 2, expected 3\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
     def test_bad_option_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -626,7 +644,15 @@ class TestCompare:
         vals = np.array([0.5, 0.6, 0.7])
         means = np.array([0.5, 0.59, 0.9])
         errs = np.array([0.01, 0.01, 0.01])
-        assert count_mc_violations(vals, means, errs) == 1
+        assert count_mc_violations(vals, means, errs, 10000) == 1
+
+    def test_violation_counter_bounds_a_point_no_path_reached(self):
+        # No path ruined: mean and standard error are 0.  The band is
+        # [0, ln(1/0.00135)/n], 3.3e-5 at n = 200 000.
+        vals = np.array([1.5e-7, 1.0e-9, 3.2e-5, 3.4e-5])
+        zeros = np.zeros(4)
+        assert count_mc_violations(vals, zeros, zeros, 200_000) == 1
+        assert count_mc_violations(vals, zeros, zeros, 5_000) == 0
 
     def test_comparison_failure_exit_code(self, tmp_path, monkeypatch):
         # corrupt the closed form: compare must detect the MC mismatch
@@ -871,6 +897,12 @@ class TestLazyPackage:
     def test_submodule_import_loads_that_module_alone(self):
         got = loaded_modules("from pdmpruin import phase_type", "pdmpruin")
         assert got == str(["pdmpruin", "pdmpruin.phase_type"])
+
+    def test_serialization_loads_no_monte_carlo_engine(self):
+        # RunConfig.sim_config imports mc_sim when it builds a SimConfig.
+        got = loaded_modules("import pdmpruin.serialization", "pdmpruin")
+        assert got == str(["pdmpruin", "pdmpruin.passage_model", "pdmpruin.phase_type",
+                           "pdmpruin.serialization"])
 
     def test_every_public_name_resolves(self):
         import pdmpruin

@@ -796,6 +796,65 @@ class TestUpwardJumps:
         assert_allclose(a.error_estimate, b.error_estimate[::-1], rtol=0, atol=1e-12)
 
 
+# How solve_bvp answers constant drift c against Erlang-3 jumps (mean 1) at
+# jump rate 0.5, by jump direction and problem, for c = 1, -1 and 0.4 (0.4 at
+# zero kill only, where it has no net profit: c <= lam E[C] = 0.5).  "zero"
+# and "one" are Psi = M = 0 and 1, "dual" the refused dual risk model.
+ROUTE_TABLE = {
+    ("downward", "one-sided"): ("ladder", "initial_value", "one"),
+    ("downward", "ruin on [0, 3]"): ("two_point", "initial_value", "two_point"),
+    ("downward", "exit on [0, 3]"): ("two_point", "zero", "two_point"),
+    ("upward", "one-sided"): ("zero", "dual", "zero"),
+    ("upward", "ruin on [0, 3]"): ("zero", "two_point", "zero"),
+    ("upward", "exit on [0, 3]"): ("initial_value", "two_point", "initial_value"),
+}
+ROUTE_PROBLEMS = {
+    "one-sided": PassageProblem(0.0),
+    "ruin on [0, 3]": PassageProblem(0.0, 3.0),
+    "exit on [0, 3]": PassageProblem(0.0, 3.0, "exit_above"),
+}
+ROUTE_CASES = [
+    (direction, problem, c, q, expected)
+    for (direction, problem), classes in ROUTE_TABLE.items()
+    for c, expected in zip((1.0, -1.0, 0.4), classes)
+    for q in ((0.0, 0.5) if c != 0.4 else (0.0,))
+]
+
+
+class TestRouteTable:
+    """The branch solve_bvp takes, and where Monte Carlo has a Lundberg level."""
+
+    @pytest.mark.parametrize(
+        "direction, problem, c, q, expected", ROUTE_CASES,
+        ids=[f"{d}-{p}-c={c:g}-q={q:g}" for d, p, c, q, _ in ROUTE_CASES],
+    )
+    def test_answer_class(self, monkeypatch, direction, problem, c, q, expected):
+        calls = {"_ladder_solution": 0, "_integrate_columns": 0, "_collocation": 0}
+        for name in calls:
+            def counted(*args, _name=name, _solver=getattr(passage_model, name)):
+                calls[_name] += 1
+                return _solver(*args)
+
+            monkeypatch.setattr(passage_model, name, counted)
+        m = ModelSpec(ConstantDrift(c), 0.5, q, erlang(3, 3.0), direction)
+        posed = ROUTE_PROBLEMS[problem]
+        grid = np.linspace(0.0, 3.0, 7)
+        if expected == "dual":
+            with pytest.raises(NumericalError, match="dual risk model"):
+                solve_bvp(m, posed, grid)
+            got = "dual"
+        else:
+            curve = solve_bvp(m, posed, grid)
+            Y = np.column_stack([curve.psi, curve.m])
+            got = {
+                (1, 0, 0): "ladder", (0, 2, 0): "initial_value", (0, 0, 2): "two_point",
+            }.get(tuple(calls.values()))
+            if not any(calls.values()):
+                got = "zero" if np.all(Y == 0.0) else "one" if np.all(Y == 1.0) else None
+        assert got == expected
+        assert math.isfinite(_lundberg_level(m, posed)) == (expected == "ladder")
+
+
 class TestSolutionCurve:
     def test_csv_format(self, tmp_path):
         curve = SolutionCurve(
