@@ -70,16 +70,10 @@ class SimConfig:
     n_paths: int
     seed: int
     max_time: float | None = None
-    flow_tolerance: float = 1e-10
     kill_mode: str = "weight"
 
     def __post_init__(self):
-        require_finite(
-            "simulation",
-            x0=self.x0,
-            max_time=self.max_time,
-            flow_tolerance=self.flow_tolerance,
-        )
+        require_finite("simulation", x0=self.x0, max_time=self.max_time)
         for name in ("n_paths", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -99,16 +93,6 @@ class SimConfig:
         if self.max_time is not None:
             return self.max_time
         return default_max_time(self.model, self.problem, self.x0)
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "max_time": self.max_time,
-            "flow_tolerance": self.flow_tolerance,
-            "kill_mode": self.kill_mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -174,15 +158,15 @@ class PassageEstimate:
 # Deterministic flow between jumps
 # ---------------------------------------------------------------------------
 
-def flow(drift: DriftSpec, x0: float, dt: float, tol: float = 1e-10) -> float:
+def flow(drift: DriftSpec, x0: float, dt: float) -> float:
     """Position after following dx/dt = phi(x) for time dt.
 
     The 0-d case of the drift's own flow: exact for constant drift and for
     the exponentially relaxing family (whose flow is linear in
-    y = e^{2 mu x}); the inverse of the drift's clock, to ``tol``, for
-    tabulated drifts.
+    y = e^{2 mu x}); the inverse of the drift's clock, to
+    :data:`passage_model.FLOW_TOL`, for tabulated drifts.
     """
-    return float(_vector_flow(drift, x0, dt, tol))
+    return float(_vector_flow(drift, x0, dt))
 
 
 def crossing_time(drift: DriftSpec, x0: float, level: float, side: str) -> float:
@@ -196,9 +180,7 @@ def crossing_time(drift: DriftSpec, x0: float, level: float, side: str) -> float
     return float(_vector_crossing_times(drift, x0, level, side))
 
 
-def _flow_segment_numeric(
-    drift: DriftSpec, x0: float, T: float, lower: float, upper: float, tol: float
-):
+def _flow_segment_numeric(drift: DriftSpec, x0: float, T: float, lower: float, upper: float):
     """Advance a path by up to T, stopping at a boundary.
 
     Returns (t_event, x_event, which) with which in {None, 'below', 'above'}.
@@ -211,7 +193,7 @@ def _flow_segment_numeric(
         if t_low <= t_high:
             return t_low, lower, "below"
         return t_high, upper, "above"
-    return T, flow(drift, x0, T, tol), None
+    return T, flow(drift, x0, T), None
 
 
 def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> float:
@@ -284,9 +266,7 @@ def simulate_path(cfg: SimConfig, rng: np.random.Generator) -> PathOutcome:
     while True:
         wait = rng.exponential(1.0 / lam)
         budget = min(wait, horizon - t)
-        seg_t, x_next, which = _flow_segment_numeric(
-            model.drift, x, budget, l, L, cfg.flow_tolerance
-        )
+        seg_t, x_next, which = _flow_segment_numeric(model.drift, x, budget, l, L)
         if which == "below":
             return PathOutcome("ruined", t + seg_t, 0.0, n_jumps)
         if which == "above":
@@ -332,12 +312,12 @@ def _vector_crossing_times(drift: DriftSpec, x, level: float, side: str):
     return out
 
 
-def _vector_flow(drift: DriftSpec, x, dt, tol: float = 1e-10):
+def _vector_flow(drift: DriftSpec, x, dt):
     """Vector version of :func:`flow` for the batch engine."""
     dt = np.asarray(dt, float)
     if (dt < 0).any():
         raise ValueError("dt must be nonnegative")
-    return drift.flow(np.asarray(x, float), dt, tol)
+    return drift.flow(np.asarray(x, float), dt)
 
 
 def _run_block(
@@ -458,7 +438,7 @@ def _run_block(
                 break
             go = ~stop
             ids, x, t, hz, waits = ids[go], x[go], t[go], hz[go], waits[go]
-        x = _vector_flow(drift, x, waits, cfg.flow_tolerance)
+        x = _vector_flow(drift, x, waits)
         t = t + waits
         jumps = ph_sample(model.jumps, rng, size=ids.size)
         x = x - jumps if down else x + jumps

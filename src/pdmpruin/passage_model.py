@@ -65,7 +65,7 @@ def require_finite(where: str, **fields) -> None:
 # Drift specifications
 # ---------------------------------------------------------------------------
 
-# Every drift type gives its flow ``flow(x, t, tol)`` and the crossing time
+# Every drift type gives its flow ``flow(x, t)`` and the crossing time
 # ``travel_time(x, level)``, both elementwise over arrays.  For a tabulated
 # drift both come from the clock F(x) = int dx/phi; the flow is
 # F^{-1}(F(x) + t) and the travel time F(level) - F(x).  The clock's
@@ -142,8 +142,8 @@ class ConstantDrift:
         x = np.asarray(x, float)
         return np.zeros(x.shape) if x.ndim else 0.0
 
-    def flow(self, x, t, tol=None):
-        """Position after time ``t`` (exact; ``tol`` is unused)."""
+    def flow(self, x, t):
+        """Position after time ``t`` (exact)."""
         return np.asarray(x, float) + self.c * np.asarray(t, float)
 
     def travel_time(self, x, level):
@@ -207,7 +207,7 @@ class SegerdahlDrift:
         val = -2.0 * (self.lam + self.q) * self.K * np.exp(-2.0 * self.mu * x)
         return val if x.ndim else float(val)
 
-    def flow(self, x, t, tol=None):
+    def flow(self, x, t):
         """Position after time ``t``: exact, the flow is linear in y = e^{2 mu x}."""
         two_mu = 2.0 * self.mu
         y0 = np.exp(two_mu * np.asarray(x, float))
@@ -234,6 +234,12 @@ class SegerdahlDrift:
 
     def to_dict(self) -> dict:
         return {"kind": "segerdahl", "K": self.K, "lam": self.lam, "q": self.q, "mu": self.mu}
+
+
+# Newton step at which a tabulated flow's clock inversion stops, unless the
+# clock's own rounding is coarser.  Stopping at that rounding alone gives the
+# same Monte Carlo answers for more Newton steps.
+FLOW_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,12 +380,12 @@ class TabulatedDrift:
         k = z[1:-1].searchsorted(x, "right")
         return F[k] + self._clock_step(z[k], x)
 
-    def flow(self, x, t, tol=1e-10):
+    def flow(self, x, t):
         """Position after time ``t``: the inverse clock F^{-1}(F(x) + t).
 
         Newton steps on F with dF/dx = 1/phi, each kept inside the knot
-        interval that brackets the target, until the step is at most ``tol``
-        (or the clock's own rounding).
+        interval that brackets the target, until the step is at most
+        :data:`FLOW_TOL` (or the clock's own rounding).
         """
         z, F, resolution = self._clock
         target = self._clock_at(x) + np.asarray(t, float)
@@ -392,7 +398,7 @@ class TabulatedDrift:
         k = (s * F[1:-1]).searchsorted(s * target, "right")
         a, b = z[k], z[k + 1]
         x = a + (b - a) * (target - F[k]) / (F[k + 1] - F[k])
-        tol = max(tol, resolution)
+        tol = max(FLOW_TOL, resolution)
         for _ in range(50):
             x_new = np.clip(x - (F[k] + self._clock_step(a, x) - target) * self._interp(x), a, b)
             converged = np.all(np.abs(x_new - x) <= tol)
@@ -983,7 +989,8 @@ def _ladder_solution(model: ModelSpec, t: np.ndarray):
         # Nonnegative in exact arithmetic; clipped so that G stays a subgenerator.
         beta_q = np.maximum(lam / c * (jumps.beta @ R), 0.0)
         G = jumps.B + np.outer(jumps.b, beta_q)
-        return np.array([tail(PhaseType(s, G), t) for s in (beta_q, *np.eye(jumps.n))]), rel
+        M = np.array([tail(PhaseType(e, G), t) for e in np.eye(jumps.n)])
+        return np.vstack([beta_q @ M, M]), rel  # Psi = beta_q e^{Gt} 1 = beta_q M
 
     lo = bisect(lambda v, err: v + err < 0.0)[0] if q else 0.0
     hi = bisect(lambda v, err: v - err <= 0.0)[1] if q else 0.0

@@ -85,9 +85,7 @@ class RunConfig:
         n_paths = _integer(sim["n_paths"], "$.sim.n_paths")
         seed = _integer(sim["seed"], "$.sim.seed")
         try:
-            given = {"flow_tolerance": float(sim["flow_tolerance"])} if "flow_tolerance" in sim else {}
-            if "kill_mode" in sim:
-                given["kill_mode"] = sim["kill_mode"]
+            given = {"kill_mode": sim["kill_mode"]} if "kill_mode" in sim else {}
             return SimConfig(
                 model=self.model,
                 problem=self.problem,
@@ -113,7 +111,7 @@ def _integer(value, path: str) -> int:
 _TOP_LEVEL = {"schema_version", "model", "problem", "grid", "sim", "output"}
 # What a block's constructor raises on a bad value inside an object.
 _FIELD_ERRORS = (ValueError, LookupError, TypeError, ArithmeticError)
-_SIM_FIELDS = {"x0", "n_paths", "seed", "max_time", "flow_tolerance", "kill_mode"}
+_SIM_FIELDS = {"x0", "n_paths", "seed", "max_time", "kill_mode"}
 _GRID_FIELDS = {"start", "stop", "points"}
 _OUTPUT_FIELDS = {"directory", "format"}
 

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -21,8 +23,10 @@ from pdmpruin.cli import (
     count_mc_violations,
     main,
 )
+from pdmpruin.mc_sim import SimConfig
 from pdmpruin.passage_model import SolutionCurve
 from pdmpruin.serialization import (
+    _SIM_FIELDS,
     ConfigError,
     RunConfig,
     config_to_dict,
@@ -120,6 +124,18 @@ CUBIC_TABLE_CONFIG = with_value(
      "interpolation": "cubic", "sign_domain": [0.0, 8.0]},
 )
 
+# FIG1_CONFIG with a 400-knot table of the relaxing drift plus 0.01 sin x,
+# which the scaling-transformation gate rejects.
+_PERTURBED_X = np.linspace(-1.0, 8.0, 400)
+PERTURBED_TABLE_CONFIG = with_value(
+    FIG1_CONFIG,
+    ("model", "drift"),
+    {"kind": "tabulated", "x": _PERTURBED_X.tolist(),
+     "values": ((1.0 / 1.5) * (0.75 * np.exp(-3.0 * _PERTURBED_X) - 1.0)
+                + 0.01 * np.sin(_PERTURBED_X)).tolist(),
+     "sign_domain": [0.0, 8.0]},
+)
+
 NAN, INF = math.nan, math.inf
 
 # Config blocks that must be JSON objects.
@@ -177,7 +193,6 @@ NON_FINITE_CASES = {
     "grid-stop": (FIG1_CONFIG, ("grid", "stop"), INF, "solve"),
     "sim-x0": (FIG1_CONFIG, ("sim", "x0"), NAN, "simulate"),
     "sim-max_time": (CONST_CONFIG, ("sim", "max_time"), INF, "simulate"),
-    "sim-flow_tolerance": (FIG1_CONFIG, ("sim", "flow_tolerance"), NAN, "simulate"),
 }
 
 
@@ -203,6 +218,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as e:
             parse_config(bad)
         assert e.value.path == "$.model"
+
+    def test_sim_fields_are_the_simulation_config_fields(self):
+        # A SimConfig field cannot outlive its config field, nor the reverse.
+        assert _SIM_FIELDS == {f.name for f in dataclasses.fields(SimConfig)} - {"model", "problem"}
 
     def test_missing_model(self):
         with pytest.raises(ConfigError, match="model"):
@@ -289,20 +308,10 @@ class TestDispatchGates:
         assert reasons == [ONE_SIDED_REASON]
 
     def test_perturbed_tabulated_drift_falls_to_bvp(self, tmp_path):
-        xs = np.linspace(-1.0, 8.0, 400)
-        base = 0.5 + 0.5
-        phi = (base / 1.5) * (0.75 * np.exp(-2 * 1.5 * xs) - 1.0) + 0.01 * np.sin(xs)
-        cfg = json.loads(json.dumps(FIG1_CONFIG))
-        cfg["model"]["drift"] = {
-            "kind": "tabulated",
-            "x": list(xs),
-            "values": list(phi),
-            "sign_domain": [0.0, 8.0],
-        }
-        rc = parse_config(cfg)
+        rc = parse_config(PERTURBED_TABLE_CONFIG)
         curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
         assert curve is None
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, PERTURBED_TABLE_CONFIG)
         out = str(tmp_path / "sol")
         assert main(["solve", "--config", path, "--output", out, "--quiet"]) == EXIT_OK
         text = (tmp_path / "sol.csv").read_text()
@@ -336,6 +345,12 @@ class TestExitCodes:
     def test_unknown_field_is_usage_error(self, tmp_path):
         path = write_config(tmp_path, dict(FIG1_CONFIG, junk=1))
         assert main(["solve", "--config", path]) == EXIT_CONFIG
+
+    def test_flow_tolerance_is_an_unknown_sim_field(self, tmp_path, capsys):
+        # The tabulated flow stops its Newton steps at passage_model.FLOW_TOL.
+        config = write_config(tmp_path, with_value(FIG1_CONFIG, ("sim", "flow_tolerance"), 1e-10))
+        assert main(["simulate", "--config", config, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: $.sim: unknown fields: ['flow_tolerance']\n"
 
     def test_argparse_usage_error(self, capsys):
         assert main(["no-such-subcommand"]) == EXIT_CONFIG
@@ -774,6 +789,30 @@ class TestSubcommands:
         data = json.loads((tmp_path / "gate.json").read_text())
         assert data["integrable"] is True
         assert abs(data["params"]["c1"]) < 1e-8
+
+    def test_check_integrability_reports_a_rejected_drift(self, tmp_path, capsys):
+        path = write_config(tmp_path, PERTURBED_TABLE_CONFIG)
+        out = tmp_path / "gate.json"
+        assert main(["check-integrability", "--config", path, "--output", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        data = json.loads(out.read_text())
+        assert data["integrable"] is False
+        assert 0.0 <= data["witness_x"] <= 5.0  # on the config's grid [0, 5]
+        witness = re.escape(f"{data['witness_x']:g}")
+        line = (r"^not integrable by a scaling transformation: test function varies by "
+                rf"\d\.\d{{3}}e[+-]\d+ \(worst point x={witness}\)$")
+        assert re.search(line, stdout, re.M)
+
+    @pytest.mark.parametrize("kill_mode", ["horizon", "weight"])
+    def test_simulate_reads_the_kill_mode(self, tmp_path, capsys, kill_mode):
+        path = write_config(tmp_path, with_value(FIG1_CONFIG, ("sim", "kill_mode"), kill_mode))
+        out, emitted = tmp_path / "x.csv", tmp_path / "emitted.json"
+        assert main(["simulate", "--config", path, "--paths", "1000", "--output", str(out),
+                     "--emit-config", str(emitted), "--quiet"]) == EXIT_OK
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        n_killed = int(row[header.index("n_killed")])
+        assert (n_killed > 0) == (kill_mode == "horizon")
+        assert json.loads(emitted.read_text())["sim"]["kill_mode"] == kill_mode
 
     def test_simulate(self, tmp_path, capsys):
         path = write_config(tmp_path, FIG1_CONFIG)

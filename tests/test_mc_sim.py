@@ -304,6 +304,25 @@ class TestEstimate:
         idx = np.argmin(np.abs(grid - 1.0))
         assert abs(est.mean - curve.psi[idx]) < 3.5 * est.std_error
 
+    @pytest.mark.parametrize("estimand", ["exit_above", "ruin_below"])
+    @pytest.mark.parametrize(
+        "drift",
+        [
+            TabulatedDrift((0.0, 5.0), (1.0, 1.0), "linear"),
+            TabulatedDrift(tuple(_SIN_X[:21]), tuple(0.8 + 0.1 * np.sin(_SIN_X[:21]))),
+        ],
+        ids=["linear-table", "sin-table"],
+    )
+    def test_tabulated_flow_exits_above_cross_oracle(self, drift, estimand):
+        # Positive tabulated drift carries paths to the upper level between
+        # jumps: the per-path engine's exit by the flow.
+        m = ModelSpec(drift, 1.0, 0.3, exponential(2.0))
+        problem = PassageProblem(0.0, 2.0, estimand)
+        est = estimate(SimConfig(model=m, problem=problem, x0=1.0, n_paths=1000, seed=11))
+        psi = solve_bvp(m, problem, np.linspace(0.0, 2.0, 41)).psi[20]
+        assert est.n_escaped > 0
+        assert abs(est.mean - psi) < 4 * est.std_error
+
     def test_overshoot_penalty_weight(self):
         # For exponential jumps the overshoot is exp(mu) independent of tau,
         # so the penalized target factorizes: E e^{-xi*overshoot} on jump
