@@ -5,11 +5,11 @@ dense_output=True)`` for forward integration: the same tableau and
 dense-output stages (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., Sec. II.5 and II.6), the same starting
 step (Sec. II.4), error norm and step controller, the same choice of
-dense-output piece at a node (the left one), and an optional terminal
-event located on the dense output by Brent's method as scipy's
-``brentq`` does.  Every floating-point operation is the one scipy makes,
-in the same order, so nodes, node values and dense values agree with it
-bit for bit; only the import of ``scipy.integrate`` is saved.
+dense-output piece at a node (the left one), and the same stop when the
+step size collapses below the spacing of floats, as it does at a pole.
+Every floating-point operation is the one scipy makes, in the same
+order, so nodes, node values and dense values agree with it bit for bit;
+only the import of ``scipy.integrate`` is saved.
 
 Callers import this module inside the functions that integrate, so a
 command that never integrates does not load it.
@@ -21,8 +21,6 @@ import math
 from typing import Callable
 
 import numpy as np
-
-EPS = np.finfo(float).eps
 
 # Step controller: safety factor, bounds on the step-size change, and the
 # exponent -1/(q+1) of the order-7 error estimate.
@@ -200,66 +198,21 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     return abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Root of f bracketed by [a, b]: Brent's method with inverse quadratic
-    interpolation, ``xtol = rtol = tol`` and 100 iterations, as scipy's
-    ``brentq``."""
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + tol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("event location did not converge in 100 iterations")
-
-
 class Dop853Solution:
     """Nodes ``t``, node values ``y`` (n, len(t)) and the dense output of
     one integration.
 
-    ``message`` is None when the integration reached its end or stopped at
-    its event, whose location is then ``t_event`` (else None); a stopped
-    integration ends at the start of the step that holds the event.
+    ``message`` is None when the integration reached its end; otherwise the
+    step size collapsed and the nodes end at the last accepted step.
     Calling the solution evaluates the dense output: shape (n,) at a scalar,
     (n, m) at m points; a node takes the piece that ends there.
     """
 
-    def __init__(self, t, y, F, message=None, t_event=None):
+    def __init__(self, t, y, F, message=None):
         self.t = np.array(t)
         self.y = np.array(y).T
         self._F = np.array(F)
         self.message = message
-        self.t_event = t_event
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -280,15 +233,11 @@ def _horner(F: np.ndarray, y_old: np.ndarray, s: np.ndarray) -> np.ndarray:
     return y.T
 
 
-def integrate(
-    fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
-    event: Callable | None = None,
-) -> Dop853Solution:
+def integrate(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float) -> Dop853Solution:
     """Integrate y' = fun(t, y) from ``t0`` to ``t1 > t0`` with dense output.
 
-    ``event(t, y)``, if given, stops the integration where it first crosses
-    zero upward (or touches it from below); its location is found on the
-    dense output of the step that brackets it.
+    A step size that falls below the float spacing at t, or is NaN, stops
+    the integration with ``message`` set.
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -302,13 +251,12 @@ def integrate(
     h_abs = _initial_step(f_of, t, y, f, t1, rtol, atol)
     K = np.empty((16, y.size))
     ts, ys, Fs = [t0], [y], []
-    g = event(t0, y) if event is not None else None
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 return Dop853Solution(ts, ys, Fs, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t1)
             h = t_new - t
@@ -340,15 +288,6 @@ def integrate(
         F[1] = h * K[0] - dy
         F[2] = 2 * dy - h * (f_new + K[0])
         F[3:] = h * np.dot(D, K)
-
-        if event is not None:
-            g_new = event(t_new, y_new)
-            if g <= 0 <= g_new:
-                def on_step(x):
-                    return event(x, _horner(F, y, (x - t) / (t_new - t)))
-
-                return Dop853Solution(ts, ys, Fs, t_event=_brent(on_step, t, t_new, 4 * EPS))
-            g = g_new
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)

@@ -160,7 +160,10 @@ def parse_config(data: dict) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.grid")
         try:
-            grid = GridSpec(float(g["start"]), float(g["stop"]), int(g["points"]))
+            points = _integer(g["points"], "$.grid.points")
+            grid = GridSpec(float(g["start"]), float(g["stop"]), points)
+        except ConfigError:
+            raise
         except _FIELD_ERRORS as exc:
             raise ConfigError(str(exc), "$.grid") from exc
 

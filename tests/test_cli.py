@@ -352,6 +352,54 @@ class TestExitCodes:
         assert main(["simulate", "--config", config, "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: $.sim: unknown fields: ['flow_tolerance']\n"
 
+    @pytest.mark.parametrize("points", [100.5, "101", True])
+    def test_grid_points_must_be_an_integer(self, tmp_path, capsys, points):
+        path = write_config(tmp_path, with_value(FIG1_CONFIG, ("grid", "points"), points))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: $.grid.points: must be an integer, got {points!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, config, message", [
+        ("simulate", {k: v for k, v in FIG1_CONFIG.items() if k != "problem"},
+         "$.problem: a 'problem' block is required for simulation"),
+        ("simulate", with_value(FIG1_CONFIG, ("sim",), {"n_paths": 100, "seed": 1}),
+         "$.sim: missing simulation fields: ['x0']"),
+        ("solve", [FIG1_CONFIG], "$: top-level document must be an object"),
+        ("solve", with_value(FIG1_CONFIG, ("grid", "step"), 0.1),
+         "$.grid: unknown fields: ['step']"),
+        ("solve", {k: v for k, v in FIG1_CONFIG.items() if k != "grid"},
+         "$.grid: a 'grid' block is required for this subcommand"),
+        ("solve", with_value(FUZZ_BASE, ("model", "drift", "x"), [0.0, 2.0, 1.0]),
+         "$.model: drift table x must be strictly increasing"),
+        ("solve", with_value(FUZZ_BASE, ("model", "drift", "sign_domain"), [0.0, 3.0]),
+         "$.model: sign_domain must be an interval inside the table"),
+    ], ids=["no-problem", "no-x0", "array", "grid-step", "no-grid", "table-order",
+            "sign-domain"])
+    def test_config_refusal_names_the_field(self, tmp_path, capsys, subcommand, config, message):
+        path = write_config(tmp_path, config)
+        assert main([subcommand, "--config", path, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_nan_step_size_is_numerical_error(self, tmp_path):
+        # lam / phi overflows on this drift, so the first right-hand side of
+        # the linear system is NaN; the integration used to loop forever.
+        table = {"kind": "tabulated", "x": [0.0, 5.0], "values": [-1e-310, -1e-310],
+                 "interpolation": "linear"}
+        cfg = with_value(with_value(CONST_CONFIG, ("model", "drift"), table),
+                         ("model", "kill_rate"), 0.5)
+        path = write_config(tmp_path, dict(cfg, grid={"start": 0.0, "stop": 5.0, "points": 11}))
+        out = tmp_path / "s.csv"
+        proc = run_cli(["solve", "--config", path, "--output", str(out), "--quiet"], timeout=60)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines()[-1] == (
+            "numerical failure: linear-system integration failed: "
+            "Required step size is less than spacing between numbers."
+        )
+        assert not out.exists()
+
     def test_argparse_usage_error(self, capsys):
         assert main(["no-such-subcommand"]) == EXIT_CONFIG
         capsys.readouterr()
@@ -717,6 +765,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "0 MC violations" in out
         assert "psi_closed_form" in out and "psi_ode_bvp" in out
+
+    def test_riccati_blow_up_leaves_the_other_oracles(self, tmp_path, capsys):
+        # With killing, the true eta is the repelling root of the ratio
+        # equation; integrated forward from l it is driven to a pole.
+        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 1.0)
+        cfg = dict(cfg, grid={"start": 0.0, "stop": 20.0, "points": 101}, sim={"seed": 11})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--config", path, "--output", str(out), "--mc-points", "3",
+                "--paths", "2000"]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "comparison ok" in stdout
+        note = re.search(r"^note: riccati_numeric unavailable: "
+                         r"Riccati blow-up detected near x = (\S+)$", stdout, re.M)
+        assert note and 13.6 < float(note.group(1)) < 13.7
+        assert out.read_text().splitlines()[0] == "x,psi_closed_form,psi_ode_bvp,mc_mean,mc_3sigma"
 
 
 class TestSubcommands:

@@ -15,7 +15,6 @@ from pdmpruin.passage_model import (
 from pdmpruin.phase_type import erlang, exponential
 from pdmpruin.riccati import (
     RICCATI_ATOL,
-    RICCATI_BLOWUP,
     RICCATI_RTOL,
     RiccatiBlowUpError,
     riccati_numeric,
@@ -37,18 +36,9 @@ def riccati_rhs(coeffs):
     return rhs
 
 
-def escape(x, y):
-    return abs(y[0]) - RICCATI_BLOWUP
-
-
-def scipy_dop853(fun, t0, t1, y0, rtol, atol, event=None):
-    if event is not None:
-        def event(x, y, _event=event):
-            return _event(x, y)
-
-        event.terminal, event.direction = True, 1
+def scipy_dop853(fun, t0, t1, y0, rtol, atol):
     return solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
-                     dense_output=True, events=None if event is None else [event])
+                     dense_output=True)
 
 
 def assert_same_solution(ours, ref):
@@ -78,29 +68,40 @@ class TestAgainstScipy:
 
     def test_riccati_right_hand_side(self):
         fun = riccati_rhs(to_riccati(relaxing_model(exponential(1.5))))
-        ours = _dop853.integrate(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL, escape)
-        ref = scipy_dop853(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL, escape)
-        assert ours.t_event is None and ref.t_events[0].size == 0
+        ours = _dop853.integrate(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL)
+        ref = scipy_dop853(fun, 0.0, 5.0, [1.0, 0.0], RICCATI_RTOL, RICCATI_ATOL)
+        assert ours.message is None
         assert_same_solution(ours, ref)
 
     def test_blow_up_location(self):
-        # eta' = eta^2 from eta(0) = 1 has its pole at x = 1.
+        # eta' = eta^2 from eta(0) = 1 has its pole at x = 1, where the step
+        # size collapses: both stop there, on the same nodes.
         def fun(x, y):
             return [y[0] * y[0]]
 
-        ours = _dop853.integrate(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL, escape)
-        ref = scipy_dop853(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL, escape)
-        assert ours.t_event == ref.t_events[0][0]
-        assert abs(ours.t_event - (1.0 - 1.0 / RICCATI_BLOWUP)) < 1e-9
+        ours = _dop853.integrate(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL)
+        ref = scipy_dop853(fun, 0.0, 3.0, [1.0], RICCATI_RTOL, RICCATI_ATOL)
+        assert ours.message == ref.message == _dop853.TOO_SMALL_STEP
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+        assert abs(ours.t[-1] - 1.0) < 1e-10
 
     def test_riccati_numeric_blow_up_is_reported_where_scipy_finds_it(self):
         coeffs = to_riccati(relaxing_model(exponential(1.5)))
-        ref = scipy_dop853(riccati_rhs(coeffs), 0.0, 60.0, [-5.0, 0.0],
-                           RICCATI_RTOL, RICCATI_ATOL, escape)
-        assert ref.status == 1
+        ref = scipy_dop853(riccati_rhs(coeffs), 0.0, 60.0, [-5.0, 0.0], RICCATI_RTOL, RICCATI_ATOL)
         with pytest.raises(RiccatiBlowUpError) as err:
             riccati_numeric(coeffs, -5.0, (0.0, 60.0))
-        assert err.value.x_pole == ref.t_events[0][0]
+        assert ref.status == -1 and ref.message == _dop853.TOO_SMALL_STEP
+        assert err.value.x_pole == ref.t[-1]
+
+
+def test_nan_step_size_stops_the_integration():
+    # A NaN right-hand side makes the starting step NaN, which no comparison
+    # with the smallest step accepts.
+    with np.errstate(all="ignore"):
+        sol = _dop853.integrate(lambda t, y: [np.nan], 0.0, 1.0, [1.0], 1e-8, 1e-10)
+    assert sol.message == _dop853.TOO_SMALL_STEP
+    assert np.array_equal(sol.t, [0.0])
 
 
 def test_integration_that_cannot_finish_is_numerical_error():

@@ -126,6 +126,12 @@ class TestDrifts:
         with pytest.raises(ValueError):
             d.phi(3.0)
 
+    def test_tabulated_travel_time_to_a_level_outside_the_sign_domain(self):
+        d = TabulatedDrift((0.0, 1.0, 2.0), (-1.0, -1.1, -1.2), sign_domain=(0.5, 2.0))
+        for level in (0.0, 2.5):
+            t = d.travel_time(np.array([1.0, 1.5, 2.0]), level)
+            assert t.shape == (3,) and np.all(t == math.inf)
+
     def test_tabulated_linear_matches_pointwise_interpolation(self):
         xs = np.cumsum([0.0, 0.3, 0.7, 0.2, 1.1, 0.45])
         vs = np.array([-1.0, -1.3, -0.9, -2.2, -1.7, -0.6])

@@ -354,7 +354,12 @@ class TestRiccatiNumeric:
         x_pole = -math.log(u0) / (2.0 * (eta2 - eta1))
         with pytest.raises(RiccatiBlowUpError) as exc_info:
             riccati_numeric(coeffs, eta0, (0.0, 10.0))
-        assert abs(exc_info.value.x_pole - x_pole) < 1e-6
+        assert abs(exc_info.value.x_pole - x_pole) < 1e-9
+
+    @pytest.mark.parametrize("eta0", [math.nan, math.inf])
+    def test_non_finite_start_is_rejected(self, eta0):
+        with pytest.raises(ValueError, match="eta0 must be finite"):
+            riccati_numeric(to_riccati(fig1_model()), eta0, (0.0, 5.0))
 
     def test_reconstruction_solves_linear_system(self):
         m = fig1_model()
