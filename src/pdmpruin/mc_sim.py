@@ -10,6 +10,16 @@ horizon is available as an auxiliary mode for cross-validation), and the
 overshoot penalty weight exp(xi (X_tau - l)) is supported for ruin
 estimands.
 
+In the default weight mode, where :func:`passage_model._route` takes the
+ladder route (constant drift c > 0, downward jumps, one-sided ruin, not
+certain ruin), paths are drawn under the exponential tilt e^{-R (X - l)}
+with R the Lundberg rate (:func:`_sampling_law`).  Every tilted path is
+ruined, and it scores its likelihood ratio, so the estimate stays
+unbiased and small ruin chances far out in the tail get a small relative
+error.  The path counts and the overshoot samples are then those of the
+tilted law.  The explicit kill horizon always draws the model itself, and
+so stays an independent check of the tilt.
+
 Paths are partitioned into fixed-size blocks, each driven by a
 counter-derived child seed, and block results are merged with the
 pairwise mean/variance combination in block order, so results are
@@ -35,7 +45,7 @@ from .passage_model import (
     assemble_system,
     require_finite,
 )
-from .phase_type import sample as ph_sample
+from .phase_type import PhaseType, sample as ph_sample
 
 __all__ = [
     "SimConfig",
@@ -53,7 +63,8 @@ BLOCK_SIZE = 8192
 
 #: Largest weight a censored path may lose: the default horizon of a killed
 #: model is where e^{-qT} reaches EPS, and a path that reaches the Lundberg
-#: level has a remaining ruin weight of at most EPS.
+#: level (under an explicit kill horizon) has a remaining ruin chance of at
+#: most EPS.
 EPS = 1e-16
 
 #: Path-rounds one block may take before the engine gives up.
@@ -112,12 +123,16 @@ class PassageEstimate:
     Censored paths contribute 0 to the estimand where each could have
     added at most ``censored_weight_bound``, the largest of the bounds of
     the reasons that stopped one: e^{-q T} at horizon T when killing is a
-    weight, 1 under an explicit kill horizon, and :data:`EPS` at the
-    Lundberg level of a zero-kill constant-drift ruin problem.  The estimate
-    is therefore negatively biased by at most ``censoring_bias_bound`` =
-    ``censored_fraction * censored_weight_bound``.  ``n_killed`` is only
-    populated in the explicit-horizon kill mode.  ``overshoots`` holds the
-    jump-ruin overshoot samples when :func:`estimate` was asked for them.
+    weight, e^{-R (x0 - l)} at the horizon for paths drawn under the
+    Lundberg tilt, 1 under an explicit kill horizon, and :data:`EPS` at the
+    Lundberg level, where the explicit kill horizon stops paths of a
+    ladder-route problem.  The estimate is therefore negatively biased by
+    at most ``censoring_bias_bound`` = ``censored_fraction *
+    censored_weight_bound``.  ``n_killed`` is only populated in the
+    explicit-horizon kill mode.  ``overshoots`` holds the jump-ruin
+    overshoot samples when :func:`estimate` was asked for them.  The counts
+    and the overshoots describe the law the paths were drawn from: the
+    tilted one, where weight mode tilts.
     """
 
     mean: float
@@ -219,33 +234,65 @@ def default_max_time(model: ModelSpec, problem: PassageProblem, x0: float) -> fl
     return min(t_max, math.log(1.0 / EPS) / q) if q > 0 else t_max
 
 
-def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
-    """Level past which a path's remaining ruin weight is below :data:`EPS`.
+def _ladder_rate(model: ModelSpec, problem: PassageProblem) -> float:
+    """Slowest decay rate R of the constant system matrix on the ladder route.
 
-    It is ``lower + ln(1/EPS)/R``, with R the slowest decay rate of the
-    constant system matrix, where :func:`passage_model._route` takes the
-    ladder route:
+    Where :func:`passage_model._route` takes the ladder route:
 
     * at zero kill R is the adjustment coefficient, and Lundberg's
       inequality psi(u) <= e^{-R u} holds for any jump law;
     * with killing q > 0, R = R_q solves kappa(-R_q) = q for the Laplace
       exponent kappa of the process, so e^{-q t - R_q (X_t - lower)} is a
       martingale and psi_q(u) <= e^{-R_q u} (Asmussen & Albrecher, Ruin
-      Probabilities, 2010).  A path at (t, x) can add at most
-      e^{-q t} psi_q(x) to a weight-mode estimate, so the batch engine
-      censors it once q t + R_q (x - lower) >= ln(1/EPS): at a level that
-      falls at q / R_q per unit time.  In horizon mode a live path's share
-      is psi_q(x) itself, and the level stays put.
+      Probabilities, 2010).
 
-    Every other posed problem, certain ruin included, gets +inf: no level.
+    Every other posed problem, certain ruin included, and an R too small
+    for the eigenvalues to resolve, give 0.
     """
     if _route(model, problem) != "ladder":
-        return math.inf
+        return 0.0
     try:
         _, rate = _decay_certificate(assemble_system(model)(problem.lower))
-    except NumericalError:  # R too small to resolve: no level
-        return math.inf
-    return problem.lower + math.log(1.0 / EPS) / -rate
+    except NumericalError:
+        return 0.0
+    return -rate
+
+
+def _lundberg_level(model: ModelSpec, problem: PassageProblem) -> float:
+    """Level past which a path's remaining ruin chance is below :data:`EPS`.
+
+    It is ``lower + ln(1/EPS)/R`` with R from :func:`_ladder_rate`, and +inf
+    where R = 0.  Only ``kill_mode`` "horizon" stops paths there: a live
+    path's share of the estimate is psi_q(x) <= e^{-R_q (x - lower)} at any
+    age.  Weight mode samples under the tilt instead (:func:`_sampling_law`).
+    """
+    R = _ladder_rate(model, problem)
+    return problem.lower + math.log(1.0 / EPS) / R if R > 0 else math.inf
+
+
+def _sampling_law(cfg: SimConfig) -> tuple[float, float, PhaseType, float]:
+    """(R, jump rate, jump law, kappa(-R)) of the law the engine draws from.
+
+    In weight mode on the ladder route paths are drawn under the
+    exponential tilt e^{-R (X - lower)} with R = :func:`_ladder_rate`
+    (Siegmund, Ann. Statist. 4, 1976; Asmussen & Albrecher, ch. XV): the
+    drift stays c, jumps come at rate lam M(R), M(R) = beta h with
+    h = (-B - R I)^{-1} b, and are PH(beta D_h / M(R), D_h^{-1} (B + R I) D_h).
+    Ruin is then certain, and a ruined path scores its likelihood ratio
+    e^{-R (x0 - lower) - R undershoot + (kappa(-R) - q) tau}.  Everywhere
+    else R = 0, which is the model's own law and weight.
+    """
+    model = cfg.model
+    R = _ladder_rate(model, cfg.problem) if cfg.kill_mode == "weight" else 0.0
+    if R == 0.0:
+        return 0.0, model.jump_rate, model.jumps, 0.0
+    pt = model.jumps
+    BR = pt.B + R * np.eye(pt.n)
+    h = np.linalg.solve(-BR, pt.b)
+    mgf = float(pt.beta @ h)
+    tilted = PhaseType(pt.beta * h / mgf, BR * h / h[:, None])
+    lam = model.jump_rate
+    return R, lam * mgf, tilted, lam * (mgf - 1.0) - model.drift.c * R
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +373,25 @@ def _run_block(
     rng: np.random.Generator,
     horizon: float,
     level: float,
+    law: tuple[float, float, PhaseType, float],
     collect_overshoots: bool,
 ):
     """Simulate ``n`` paths of ``cfg``; returns weights, counts, overshoots.
 
-    Killing is a weight e^{-q tau} in ``"weight"`` mode; in ``"horizon"``
-    mode each path runs to min(Exp(q) kill time, ``horizon``) and a path
-    stopped by its kill time counts as killed.  A path at or above
-    ``level``, which falls with time in weight mode (see
-    :func:`_lundberg_level`), stops as censored, and ``counts["at_level"]``
+    Paths are drawn from ``law``, the output of :func:`_sampling_law`, and
+    a ruined path scores e^{-R (x0 - l) - (R + xi) undershoot +
+    (kappa(-R) - q) tau}; at R = 0 that is the weight e^{-q tau - xi
+    undershoot} of the model itself.  Killing is that weight in
+    ``"weight"`` mode; in ``"horizon"`` mode each path runs to min(Exp(q)
+    kill time, ``horizon``) and a path stopped by its kill time counts as
+    killed.  A path at or above ``level`` (horizon mode, see
+    :func:`_lundberg_level`) stops as censored, and ``counts["at_level"]``
     says how many of the censored paths stopped there rather than at the
     horizon.  Where ruin is impossible every path escapes at once.
     """
     model, problem = cfg.model, cfg.problem
     drift = model.drift
-    lam = model.jump_rate
+    R, lam, jumps, kappa = law
     q = model.kill_rate
     q_w = q if cfg.kill_mode == "weight" else 0.0
     xi = problem.overshoot_xi
@@ -357,7 +408,7 @@ def _run_block(
         """Settle finished paths: the one rule for the estimand's weight."""
         counts[kind] += idx.size
         if kind == "ruined" and want_ruin:
-            weights[idx] = np.exp(-q_w * tau - xi * overshoot)
+            weights[idx] = np.exp((kappa - q_w) * tau - (R + xi) * overshoot - R * (cfg.x0 - l))
         elif kind == "escaped" and not want_ruin:
             weights[idx] = np.exp(-q_w * tau)
         if kind == "ruined" and collect_overshoots:
@@ -390,14 +441,15 @@ def _run_block(
     else:
         hz = np.full(n, horizon)
     has_level = math.isfinite(level)
-    # ln(1/EPS) / R = level - l, so the level falls at q_w / R per unit time.
-    fall = q_w * (level - l) / math.log(1.0 / EPS) if has_level else 0.0
     two_sided = math.isfinite(L)
+    # A flow from above l reaches it only where the drift is negative at l:
+    # a nonnegative drift there keeps every path's lower crossing time at +inf.
+    never_low = np.full(n, math.inf) if drift.phi(l) >= 0 else None
 
     max_rounds = ROUND_BUDGET // max(n, 1) + 1000
     for _ in range(max_rounds):
         if has_level:
-            far = x >= level - fall * t
+            far = x >= level
             if far.any():
                 f_ids = ids[far]
                 counts["at_level"] += f_ids.size
@@ -407,7 +459,10 @@ def _run_block(
                 if ids.size == 0:
                     break
         waits = rng.exponential(1.0 / lam, ids.size)
-        t_low = _vector_crossing_times(drift, x, l, "below")
+        if never_low is None:
+            t_low = _vector_crossing_times(drift, x, l, "below")
+        else:
+            t_low = never_low[: ids.size]
         if two_sided:
             t_bdry = np.minimum(t_low, _vector_crossing_times(drift, x, L, "above"))
         else:
@@ -440,8 +495,8 @@ def _run_block(
             ids, x, t, hz, waits = ids[go], x[go], t[go], hz[go], waits[go]
         x = _vector_flow(drift, x, waits)
         t = t + waits
-        jumps = ph_sample(model.jumps, rng, size=ids.size)
-        x = x - jumps if down else x + jumps
+        sizes = ph_sample(jumps, rng, size=ids.size)
+        x = x - sizes if down else x + sizes
         crossed = x < l if down else x > L
         if crossed.any():
             if down:
@@ -473,12 +528,17 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     """Monte Carlo estimate of the posed passage functional.
 
     Returns the sample mean of the per-path weights together with its
-    standard error (sample standard deviation / sqrt(n_paths)).  Set
-    ``collect_jump_overshoots`` to additionally expose the overshoot
-    samples of jump-triggered ruins in the ``overshoots`` field.
+    standard error (sample standard deviation / sqrt(n_paths)).  In weight
+    mode on the ladder route the paths are drawn under the Lundberg tilt
+    and each weight is the path's likelihood ratio (:func:`_sampling_law`);
+    ``kill_mode`` "horizon" never tilts.  Set ``collect_jump_overshoots`` to
+    additionally expose the overshoot samples of jump-triggered ruins in
+    the ``overshoots`` field, drawn under the same law as the paths.
     """
     horizon = cfg.resolved_max_time()
-    level = _lundberg_level(cfg.model, cfg.problem)
+    weight_mode = cfg.kill_mode == "weight"
+    law = _sampling_law(cfg)
+    level = math.inf if weight_mode else _lundberg_level(cfg.model, cfg.problem)
     n_blocks = (cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, cfg.n_paths - i * BLOCK_SIZE) for i in range(n_blocks)]
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
@@ -488,7 +548,7 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     overshoots = []
     for child, size in zip(children, sizes):  # merged in block order: deterministic
         weights, cts, osh = _run_block(
-            cfg, size, np.random.default_rng(child), horizon, level, collect_jump_overshoots
+            cfg, size, np.random.default_rng(child), horizon, level, law, collect_jump_overshoots
         )
         m = weights.mean()
         m2 = float(np.sum((weights - m) ** 2))
@@ -506,9 +566,14 @@ def estimate(cfg: SimConfig, collect_jump_overshoots: bool = False) -> PassageEs
     else:
         target = "two_sided_exit_above"
     all_censored = counts["censored"] == cfg.n_paths
-    # A censored path lost at most horizon_bound at the horizon, EPS at the level.
+    # A censored path lost at most horizon_bound at the horizon, EPS at the level:
+    # its weight e^{-R (x0 - l) - (R + xi) undershoot + (kappa(-R) - q) tau} at
+    # tau >= horizon, where kappa(-R) - q is -q at R = 0 and 0 (to rounding) else.
+    R, _, _, kappa = law
     horizon_bound = (
-        math.exp(-cfg.model.kill_rate * horizon) if cfg.kill_mode == "weight" else 1.0
+        math.exp(-R * (cfg.x0 - cfg.problem.lower) - (cfg.model.kill_rate - kappa) * horizon)
+        if weight_mode
+        else 1.0
     )
     at_horizon = counts["censored"] > counts["at_level"]
     bounds = []

@@ -159,6 +159,9 @@ def parse_config(data: dict) -> RunConfig:
         unknown = set(g) - _GRID_FIELDS
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.grid")
+        missing = [k for k in ("start", "stop", "points") if g.get(k) is None]
+        if missing:
+            raise ConfigError(f"missing grid fields: {missing}", "$.grid")
         try:
             points = _integer(g["points"], "$.grid.points")
             grid = GridSpec(float(g["start"]), float(g["stop"]), points)

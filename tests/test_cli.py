@@ -383,6 +383,13 @@ class TestExitCodes:
         assert main([subcommand, "--config", path, "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("field", ["start", "stop", "points"])
+    def test_missing_grid_field_is_named(self, tmp_path, capsys, field):
+        grid = {k: v for k, v in CONST_CONFIG["grid"].items() if k != field}
+        path = write_config(tmp_path, dict(CONST_CONFIG, grid=grid))
+        assert main(["solve", "--config", path, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: $.grid: missing grid fields: ['{field}']\n"
+
     def test_nan_step_size_is_numerical_error(self, tmp_path):
         # lam / phi overflows on this drift, so the first right-hand side of
         # the linear system is NaN; the integration used to loop forever.
@@ -766,6 +773,25 @@ class TestCompare:
         assert "0 MC violations" in out
         assert "psi_closed_form" in out and "psi_ode_bvp" in out
 
+    def test_pinned_case_is_checked_down_its_tail(self, tmp_path):
+        # psi(x) = 0.5 e^{-x} on 0..20: under the Lundberg tilt every path is
+        # ruined, so each point, psi(20) = 1e-9 included, gets a nonzero band
+        cfg = dict(CONST_CONFIG, grid={"start": 0.0, "stop": 20.0, "points": 101},
+                   sim={"x0": 1.0, "n_paths": 20000, "seed": 11})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", path, "--output", str(out), "--quiet",
+                     "--mc-points", "5", "--paths", "20000"]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(float(row.split(",")[-1]) > 0.0 for row in rows)
+        est = tmp_path / "est.json"
+        assert main(["simulate", "--config", path, "--x0", "15", "--output", str(est),
+                     "--quiet"]) == EXIT_OK
+        data = json.loads(est.read_text())
+        assert data["mean"] > 0.0
+        assert abs(data["mean"] - 0.5 * math.exp(-15.0)) < 3.0 * data["std_error"]
+
     def test_riccati_blow_up_leaves_the_other_oracles(self, tmp_path, capsys):
         # With killing, the true eta is the repelling root of the ratio
         # equation; integrated forward from l it is driven to a pole.
@@ -901,15 +927,19 @@ class TestSubcommands:
         capsys.readouterr()
 
     def test_simulate_prints_true_censoring_bias_bound(self, tmp_path, capsys):
-        # weight mode, q > 0: a censored path could have added at most e^{-qT}
-        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 0.1)
+        # weight mode, q > 0, sampled under the Lundberg tilt: a censored path
+        # could have added at most e^{-R_q x0}, with kappa(-R_q) =
+        # R_q / (2 - R_q) - R_q = q for c = 1, lam = 1 and Exp(2) jumps
+        q, x0 = 0.1, 1.0
+        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), q)
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "est.json")
         assert main(["simulate", "--config", path, "--max-time", "10",
                      "--output", out]) == EXIT_OK
         data = json.loads((tmp_path / "est.json").read_text())
         assert data["n_censored"] > 0
-        bound = data["censored_fraction"] * math.exp(-0.1 * 10.0)
+        R = (1.0 - q + math.sqrt((1.0 - q) ** 2 + 8.0 * q)) / 2.0
+        bound = data["censored_fraction"] * math.exp(-R * x0)
         assert f"censoring bias bound: {bound:.3g}\n" in capsys.readouterr().out
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):

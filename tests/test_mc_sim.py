@@ -9,6 +9,7 @@ from pdmpruin.mc_sim import (
     EPS,
     PassageEstimate,
     SimConfig,
+    _ladder_rate,
     _lundberg_level,
     crossing_time,
     default_max_time,
@@ -257,16 +258,23 @@ class TestEstimate:
         assert a.std_error == b.std_error
 
     def test_censoring_bias_bound_is_the_largest_lost_weight(self):
-        # upward drift, q > 0: paths that outlive the horizon T are censored,
-        # and each could have added at most e^{-qT} to the estimate
+        # relaxing drift positive at l, q > 0, no tilt: paths that outlive
+        # the horizon T are censored, and each could have added at most e^{-qT}
         q, T = 0.1, 10.0
-        m = const_model(c=1.0, q=q)
-        est = estimate(ruin_cfg(m, x0=1.0, n=20000, seed=2, max_time=T))
+        relaxing = ModelSpec(SegerdahlDrift(4.0, 0.5, q, 1.5), 0.5, q, exponential(1.5))
+        est = estimate(SimConfig(relaxing, PassageProblem(-2.0), -1.8, 20000, 2, max_time=T))
         assert est.n_censored > 0
         assert est.censored_weight_bound == pytest.approx(math.exp(-q * T), rel=1e-12)
         assert est.censoring_bias_bound == pytest.approx(
             est.censored_fraction * math.exp(-q * T), rel=1e-12
         )
+        # constant drift, sampled under the tilt: a censored path could have
+        # added at most e^{-R_q (x0 - l)}
+        m = const_model(c=1.0, q=q)
+        est = estimate(ruin_cfg(m, x0=1.0, n=20000, seed=2, max_time=T))
+        assert est.n_censored > 0
+        R = _ladder_rate(m, PassageProblem(0.0))
+        assert est.censored_weight_bound == pytest.approx(math.exp(-R), rel=1e-12)
         exact = float(constant_drift_solution(m, np.array([1.0]))[0][0])
         assert exact - 3 * est.std_error - est.censoring_bias_bound < est.mean < exact + 3 * est.std_error
         # under an explicit kill horizon a censored path could have added 1
@@ -406,8 +414,11 @@ class TestEstimate:
             assert 0 < t <= math.log(1e16) / model.kill_rate
 
     def test_killed_paths_stop_where_their_weight_is_below_eps(self):
-        # upward drift, q > 0: censored paths are those that outlived e^{-qT} = EPS
-        est = estimate(ruin_cfg(const_model(q=0.5), x0=1.0, n=2000, seed=2))
+        # relaxing drift positive at l, q > 0, no tilt: censored paths are
+        # those that outlived e^{-qT} = EPS
+        q = 0.5
+        relaxing = ModelSpec(SegerdahlDrift(4.0, 0.5, q, 1.5), 0.5, q, exponential(1.5))
+        est = estimate(SimConfig(relaxing, PassageProblem(-2.0), -1.8, 2000, 2))
         assert est.n_censored > 0
         assert est.censored_weight_bound <= 1e-16
 
@@ -432,25 +443,41 @@ class TestLundbergLevel:
     )
     def test_killed_level_rate_solves_kappa_minus_r_equals_q(self, lam, jumps):
         # kappa(-R_q) = lam (E e^{R C} - 1) - c R = q makes
-        # e^{-q t - R_q (X_t - l)} a martingale, which bounds a censored
-        # path's lost weight by EPS at the level l + ln(1/EPS)/R_q - q t/R_q
+        # e^{-q t - R_q (X_t - l)} a martingale: the likelihood ratio of the
+        # weight-mode tilt, and the bound psi_q(x) <= e^{-R_q (x - l)} that
+        # puts the horizon-mode level at l + ln(1/EPS)/R_q
         c, q = 1.0, 0.5
         m = ModelSpec(ConstantDrift(c), lam, q, jumps)
-        R = math.log(1.0 / EPS) / _lundberg_level(m, PassageProblem(0.0))
+        R = _ladder_rate(m, PassageProblem(0.0))
         mgf = jumps.beta @ np.linalg.solve(-jumps.B - R * np.eye(jumps.n), jumps.b)
         assert abs(lam * (mgf - 1.0) - c * R - q) <= 1e-12
-        # no level where the martingale argument does not apply
+        assert _lundberg_level(m, PassageProblem(0.0)) == math.log(1.0 / EPS) / R
+        # no tilt and no level where the martingale argument does not apply
+        assert _ladder_rate(m, PassageProblem(0.0, 5.0)) == 0.0
         assert math.isinf(_lundberg_level(m, PassageProblem(0.0, 5.0)))
         for other in (ModelSpec(ConstantDrift(-c), lam, q, jumps),
                       ModelSpec(ConstantDrift(c), lam, q, jumps, "upward")):
+            assert _ladder_rate(other, PassageProblem(0.0)) == 0.0
             assert math.isinf(_lundberg_level(other, PassageProblem(0.0)))
 
-    @pytest.mark.parametrize("kill_mode", ["weight", "horizon"])
-    def test_killed_start_past_the_level_is_censored_at_once(self, kill_mode):
+    def test_killed_start_past_the_level_is_censored_at_once(self):
         m = const_model(q=0.5)
         level = _lundberg_level(m, PassageProblem(0.0))
-        est = estimate(ruin_cfg(m, x0=level + 1.0, n=100, seed=0, kill_mode=kill_mode))
+        est = estimate(ruin_cfg(m, x0=level + 1.0, n=100, seed=0, kill_mode="horizon"))
         assert (est.n_censored, est.mean, est.censoring_bias_bound) == (100, 0.0, EPS)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_start_past_the_level_scores_under_the_tilt(self, q):
+        # Weight mode has no level: a path started where psi_q < EPS is
+        # ruined under the tilt and scores its likelihood ratio
+        m = const_model(q=q)
+        x0 = _lundberg_level(m, PassageProblem(0.0)) + 1.0
+        est = estimate(ruin_cfg(m, x0=x0, n=1000, seed=0))
+        exact = _oracle_psi(m, x0)
+        assert (est.n_ruined, est.n_censored, est.censoring_bias_bound) == (1000, 0, 0.0)
+        assert 0.0 < exact < EPS
+        assert abs(est.mean - exact) < 3 * est.std_error
+        assert est.std_error < 0.05 * exact
 
     def test_killed_level_stays_put_under_a_kill_horizon(self):
         # Under an explicit kill horizon a live path's remaining ruin chance
@@ -464,21 +491,15 @@ class TestLundbergLevel:
         assert est.censored_weight_bound == EPS
         assert est.censoring_bias_bound == est.censored_fraction * EPS
 
-    def test_pinned_case_bias_bound(self):
-        # c=1, lam=1, mu=2: psi(x) = 0.5 e^{-x}; without a level 82% of the
-        # paths ran to the horizon, each counted as a possible lost 1
+    def test_pinned_case_is_ruined_under_the_tilt(self):
+        # c=1, lam=1, mu=2: psi(x) = 0.5 e^{-x}.  Untilted, 82% of the paths
+        # drift up and never ruin; under the tilt (R = 1) every path is
+        # ruined, none is censored, and a censored one could have added e^{-R x0}
         x0 = 1.0
         est = estimate(ruin_cfg(const_model(), x0=x0, n=20000, seed=4))
-        assert est.n_censored > 0
-        assert est.censored_weight_bound == EPS
-        assert est.censoring_bias_bound <= 1e-16
-        assert abs(est.mean - 0.5 * math.exp(-x0)) < 5 * est.std_error
-
-    def test_start_past_the_level_is_censored_at_once(self):
-        est = estimate(ruin_cfg(const_model(), x0=40.0, n=100, seed=0))
-        assert est.n_censored == 100
-        assert est.mean == 0.0
-        assert est.censoring_bias_bound == EPS
+        assert (est.n_ruined, est.n_censored, est.censoring_bias_bound) == (20000, 0, 0.0)
+        assert est.censored_weight_bound == pytest.approx(math.exp(-x0), rel=1e-12)
+        assert abs(est.mean - 0.5 * math.exp(-x0)) < 3 * est.std_error
 
     @pytest.mark.parametrize("jumps", [exponential(2.0), ERLANG3], ids=["exponential", "erlang3"])
     def test_no_net_profit_keeps_the_time_horizon(self, jumps):
@@ -545,17 +566,19 @@ def _stream_pin_cases():
 
 # (mean, std_error, n_ruined, n_escaped, n_censored, n_killed, overshoot
 # count, overshoot sum), recorded with the engine of commit e791a20;
-# coxian3, the killed constant-drift case, since its paths stop at the
-# killed Lundberg level.
+# lundberg, past_level, erlang3 and coxian3, the ladder-route cases, since
+# weight mode samples them under the Lundberg tilt (the counts and
+# overshoots are those of the tilted law).
+TILTED_PINS = ("lundberg", "past_level", "erlang3", "coxian3")
 STREAM_PINS = {
-    "lundberg": (0.1859, 0.0038904540304772043, 1859, 0, 8141, 0, 1859, 953.4895590051416),
-    "past_level": (0.0, 0.0, 0, 0, 100, 0, 0, 0.0),
+    "lundberg": (0.1828614541670129, 0.001058181356910798, 10000, 0, 0, 0, 10000, 10047.956540750038),
+    "past_level": (1.8207134581146778e-18, 1.2440959335245255e-19, 100, 0, 0, 0, 100, 124.30108554583815),
     "two_sided_ruin": (0.1272, 0.004712586730739174, 636, 4364, 0, 0, 636, 294.1710754723114),
     "exit_above_upward": (0.2636351483672338, 0.005062248271944362, 3034, 1966, 0, 0, 0, 0.0),
     "horizon_kill": (0.4736, 0.00706191065621927, 2368, 0, 0, 2632, 1319, 866.3157055280641),
     "relaxing": (0.3048858873886586, 0.0016108734189934466, 10000, 0, 0, 0, 4616, 3100.713175793679),
-    "erlang3": (0.2434, 0.006069485623275355, 1217, 0, 3783, 0, 1217, 624.9416864224459),
-    "coxian3": (0.2576349496270408, 0.005533272647265571, 1626, 0, 3374, 0, 1626, 1615.220386734619),
+    "erlang3": (0.24909042067196088, 0.0015246857545689722, 5000, 0, 0, 0, 5000, 4059.6423076335054),
+    "coxian3": (0.25349098391722785, 0.002407034774311971, 5000, 0, 0, 0, 5000, 11354.890859207295),
     "impossible": (0.0, 0.0, 0, 500, 0, 0, 0, 0.0),
     "tabulated": (0.47059542316181097, 0.009240621245662054, 300, 0, 0, 0, 125, 81.20878195060598),
 }
@@ -564,10 +587,10 @@ STREAM_PINS = {
 class TestStreamPin:
     """The engine's output for a fixed seed, bit for bit.
 
-    One case per branch of the block loop: level censoring, a start past
-    the level, two-sided ruin and exit, upward jumps, explicit kill
-    horizons, the relaxing drift, multi-phase jumps, impossible ruin and
-    the per-path engine of tabulated drifts.  A change in the order or the
+    One case per branch of the block loop: the Lundberg tilt, a start past
+    the Lundberg level, two-sided ruin and exit, upward jumps, explicit kill
+    horizons, the relaxing drift, tilted multi-phase jumps with and without
+    killing, impossible ruin and the per-path engine of tabulated drifts.  A change in the order or the
     number of draws, or in the arithmetic of a path, moves these numbers.
     """
 
@@ -582,13 +605,13 @@ class TestStreamPin:
         )
         assert got == STREAM_PINS[name]
 
-    def test_killed_level_pin_agrees_with_the_ode_oracle(self):
-        # The killed stream censors at a level that falls with time; the
-        # pinned estimate must still bracket the ODE solution at 3 sigma.
-        model, problem, x0, *_ = _stream_pin_cases()["coxian3"]
-        mean, std_error = STREAM_PINS["coxian3"][:2]
-        psi = solve_bvp(model, problem, np.array([0.0, x0, 2.0 * x0])).psi[1]
-        assert abs(mean - psi) < 3.0 * std_error
+    @pytest.mark.parametrize("name", TILTED_PINS)
+    def test_tilted_pin_agrees_with_the_oracle(self, name):
+        # A pin recorded under the tilt must bracket the closed form or the
+        # ODE solution at 3 sigma.
+        model, problem, x0, *_ = _stream_pin_cases()[name]
+        mean, std_error = STREAM_PINS[name][:2]
+        assert abs(mean - _oracle_psi(model, x0)) < 3.0 * std_error
 
 
 class TestPassageEstimateType:
@@ -600,3 +623,56 @@ class TestPassageEstimateType:
         d = est.to_dict()
         assert d["mean"] == 0.5
         assert d["target"] == "psi_q"
+
+
+def _tilted_models():
+    """Ladder-route models that weight mode samples under the tilt."""
+    return {
+        "pinned": const_model(),
+        "erlang3": ModelSpec(ConstantDrift(1.0), 0.5, 0.5, ERLANG3),
+        "coxian3": ModelSpec(ConstantDrift(1.0), 0.5, 0.5, COXIAN3),
+    }
+
+
+def _oracle_psi(model, x0):
+    """psi_q(x0) of a ladder-route model: the closed form for exponential
+    jumps, else the ODE oracle."""
+    if model.jumps.n == 1:
+        return float(constant_drift_solution(model, np.array([x0]))[0][0])
+    return float(solve_bvp(model, PassageProblem(0.0), np.array([0.0, x0, 2.0 * x0])).psi[1])
+
+
+class TestLundbergTilt:
+    """Weight mode on the ladder route: every path is ruined under the tilt
+    e^{-R (X - l)} and scores its likelihood ratio."""
+
+    @pytest.mark.parametrize("name", ["pinned", "erlang3", "coxian3"])
+    def test_z_scores_over_seeds_are_standard(self, name):
+        model = _tilted_models()[name]
+        psi = _oracle_psi(model, 1.0)
+        z = []
+        for seed in range(30):
+            est = estimate(ruin_cfg(model, x0=1.0, n=10000, seed=seed))
+            assert est.n_ruined == est.n_paths
+            z.append((est.mean - psi) / est.std_error)
+        assert abs(np.mean(z)) < 0.5
+        assert 0.6 <= np.std(z, ddof=1) <= 1.4
+
+    def test_far_tail_of_the_pinned_case(self):
+        # psi(20) = 1.03e-9: no untilted path out of 1e5 would be ruined
+        x0 = 20.0
+        est = estimate(ruin_cfg(const_model(), x0=x0, n=100_000, seed=3))
+        exact = 0.5 * math.exp(-x0)
+        assert abs(est.mean - exact) < 3 * est.std_error
+        assert est.std_error < 0.01 * exact
+
+    @pytest.mark.parametrize("name", ["pinned", "erlang3", "coxian3"])
+    def test_overshoot_penalty_agrees_with_the_untilted_kill_horizon(self, name):
+        # the tilt's penalty e^{-(R + xi) undershoot} against horizon mode,
+        # which draws the model itself and an Exp(q) kill clock
+        model = _tilted_models()[name]
+        problem = PassageProblem(0.0, overshoot_xi=1.0)
+        w = estimate(SimConfig(model, problem, 1.0, 20000, 1))
+        h = estimate(SimConfig(model, problem, 1.0, 20000, 2, kill_mode="horizon"))
+        assert w.n_ruined == w.n_paths
+        assert abs(w.mean - h.mean) < 3 * math.hypot(w.std_error, h.std_error)
