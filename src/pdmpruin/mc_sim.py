@@ -166,6 +166,8 @@ class PassageEstimate:
             "n_killed": self.n_killed,
             "target": self.target,
             "censored_fraction": self.censored_fraction,
+            "censored_weight_bound": self.censored_weight_bound,
+            "censoring_bias_bound": self.censoring_bias_bound,
         }
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "SegerdahlDrift",
     "TabulatedDrift",
     "DriftSpec",
-    "drift_from_dict",
     "ModelSpec",
     "PassageProblem",
     "SolutionCurve",
@@ -152,9 +151,6 @@ class ConstantDrift:
             t = (level - np.asarray(x, float)) / self.c
         return np.where(t > 0, t, math.inf)
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class SegerdahlDrift:
@@ -232,9 +228,6 @@ class SegerdahlDrift:
         valid = (denom != 0.0) & (ratio > 0.0) & (ratio < 1.0)
         return np.where(valid, tc, math.inf)
 
-    def to_dict(self) -> dict:
-        return {"kind": "segerdahl", "K": self.K, "lam": self.lam, "q": self.q, "mu": self.mu}
-
 
 # Newton step at which a tabulated flow's clock inversion stops, unless the
 # clock's own rounding is coarser.  Stopping at that rounding alone gives the
@@ -278,6 +271,8 @@ class TabulatedDrift:
         dom = self.sign_domain
         if dom is None:
             dom = (xs[0], xs[-1])
+        elif len(dom) != 2:
+            raise ValueError("sign_domain must be a pair [lo, hi]")
         else:
             dom = (float(dom[0]), float(dom[1]))
             if not (xs[0] <= dom[0] < dom[1] <= xs[-1]):
@@ -420,43 +415,8 @@ class TabulatedDrift:
         t = self._clock_at(level) - self._clock_at(x)
         return np.where(t > 0, t, math.inf)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "x": list(self.x),
-            "values": list(self.values),
-            "interpolation": self.interpolation,
-            "sign_domain": list(self.sign_domain),
-        }
-
 
 DriftSpec = ConstantDrift | SegerdahlDrift | TabulatedDrift
-
-
-def drift_from_dict(data: dict) -> DriftSpec:
-    kind = data.get("kind")
-    if kind == "constant":
-        _reject_unknown(data, {"kind", "c"}, "drift")
-        return ConstantDrift(float(data["c"]))
-    if kind == "segerdahl":
-        _reject_unknown(data, {"kind", "K", "lam", "q", "mu"}, "drift")
-        return SegerdahlDrift(float(data["K"]), float(data["lam"]), float(data["q"]), float(data["mu"]))
-    if kind == "tabulated":
-        _reject_unknown(data, {"kind", "x", "values", "interpolation", "sign_domain"}, "drift")
-        dom = data.get("sign_domain")
-        return TabulatedDrift(
-            tuple(data["x"]),
-            tuple(data["values"]),
-            data.get("interpolation", "cubic"),
-            None if dom is None else (float(dom[0]), float(dom[1])),
-        )
-    raise ValueError(f"unknown drift kind {kind!r}")
-
-
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
 
 
 def phi_checked(drift: DriftSpec, x):
@@ -513,28 +473,6 @@ class ModelSpec:
             raise ValueError("needs one-phase exponential jumps")
         return float(-self.jumps.B[0, 0])
 
-    def to_dict(self) -> dict:
-        return {
-            "drift": self.drift.to_dict(),
-            "jump_rate": self.jump_rate,
-            "kill_rate": self.kill_rate,
-            "jumps": self.jumps.to_dict(),
-            "jump_direction": self.jump_direction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpec":
-        _reject_unknown(
-            data, {"drift", "jump_rate", "kill_rate", "jumps", "jump_direction"}, "model"
-        )
-        return cls(
-            drift=drift_from_dict(data["drift"]),
-            jump_rate=float(data["jump_rate"]),
-            kill_rate=float(data["kill_rate"]),
-            jumps=PhaseType.from_dict(data["jumps"]),
-            jump_direction=data.get("jump_direction", "downward"),
-        )
-
 
 @dataclass(frozen=True)
 class PassageProblem:
@@ -565,24 +503,6 @@ class PassageProblem:
     @property
     def upper_value(self) -> float:
         return math.inf if self.upper is None else self.upper
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "estimand": self.estimand,
-            "overshoot_xi": self.overshoot_xi,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PassageProblem":
-        _reject_unknown(data, {"lower", "upper", "estimand", "overshoot_xi"}, "problem")
-        return cls(
-            lower=float(data["lower"]),
-            upper=None if data.get("upper") is None else float(data["upper"]),
-            estimand=data.get("estimand", "ruin_below"),
-            overshoot_xi=float(data.get("overshoot_xi", 0.0)),
-        )
 
 
 @dataclass(eq=False)

@@ -154,17 +154,6 @@ class PhaseType:
         """First moment, beta @ (-B)^(-1) @ 1."""
         return float(np.sum(np.linalg.solve(-self.B.T, self.beta)))
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta.tolist(), "B": self.B.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseType":
-        unknown = set(data) - {"beta", "B", "b"}
-        if unknown:
-            raise ValueError(f"unknown phase-type fields: {sorted(unknown)}")
-        # b, if present, is ignored: it is derived, never read.
-        return cls(np.asarray(data["beta"], float), np.asarray(data["B"], float))
-
     def __repr__(self) -> str:
         return f"PhaseType(beta={self.beta.tolist()}, B={self.B.tolist()})"
 

@@ -1,20 +1,33 @@
 """JSON configuration parsing and result writers.
 
 All run inputs live in one structured document with a ``schema_version``
-field; unknown fields are rejected with the offending path so archived
-runs stay reproducible.  Numeric CSV output uses 17 significant digits,
-'.' decimal separators, and LF line endings for bit-faithful cross-checks
-between runs.
+field, and this module alone knows its schema: every block is read by one
+reader from the table of its fields (:data:`_READERS`) and written back
+from its dataclass fields.  Unknown fields are rejected with the offending
+path so archived runs stay reproducible.  Numeric CSV output uses 17
+significant digits, '.' decimal separators, and LF line endings for
+bit-faithful cross-checks between runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .passage_model import ModelSpec, PassageProblem, require_finite
+from .passage_model import (
+    ConstantDrift,
+    DriftSpec,
+    ModelSpec,
+    PassageProblem,
+    SegerdahlDrift,
+    TabulatedDrift,
+    require_finite,
+)
+from .phase_type import PhaseType
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,9 +69,6 @@ class GridSpec:
     def array(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "stop": self.stop, "points": self.points}
-
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -79,25 +89,19 @@ class RunConfig:
             raise ConfigError("a 'problem' block is required for simulation", "$.problem")
         sim = dict(self.sim or {})
         sim.update({k: v for k, v in overrides.items() if v is not None})
-        missing = [k for k in ("x0", "n_paths", "seed") if sim.get(k) is None]
+        missing = [k for k in ("x0", "n_paths", "seed") if k not in sim]
         if missing:
             raise ConfigError(f"missing simulation fields: {missing}", "$.sim")
-        n_paths = _integer(sim["n_paths"], "$.sim.n_paths")
-        seed = _integer(sim["seed"], "$.sim.seed")
         try:
-            given = {"kill_mode": sim["kill_mode"]} if "kill_mode" in sim else {}
-            return SimConfig(
-                model=self.model,
-                problem=self.problem,
-                x0=float(sim["x0"]),
-                n_paths=n_paths,
-                seed=seed,
-                max_time=None if sim.get("max_time") is None else float(sim["max_time"]),
-                **given,
-            )
+            return SimConfig(model=self.model, problem=self.problem, **sim)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), "$.sim") from exc
 
+
+# ---------------------------------------------------------------------------
+# Field readers: each takes a JSON value and its path, and returns the value
+# its constructor takes or raises ConfigError at that path.
+# ---------------------------------------------------------------------------
 
 def _integer(value, path: str) -> int:
     """An integral number as an int: 7 and 1e5 pass; True, 1.9 and "7" do not."""
@@ -108,12 +112,34 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-_TOP_LEVEL = {"schema_version", "model", "problem", "grid", "sim", "output"}
-# What a block's constructor raises on a bad value inside an object.
-_FIELD_ERRORS = (ValueError, LookupError, TypeError, ArithmeticError)
-_SIM_FIELDS = {"x0", "n_paths", "seed", "max_time", "kill_mode"}
-_GRID_FIELDS = {"start", "stop", "points"}
-_OUTPUT_FIELDS = {"directory", "format"}
+def _real(value, path: str) -> float:
+    """A JSON number as a float: 7 and 0.5 pass; True, "0.5" and null do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"must be a number, got {value!r}", path)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError("must be a finite number", path) from None
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"must be a string, got {value!r}", path)
+    return value
+
+
+def _list_of(read):
+    """The reader of a list whose elements ``read`` reads, at ``path[i]``."""
+
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"must be a list, got {type(value).__name__}", path)
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read_list
+
+
+_reals = _list_of(_real)
 
 
 def _object(value, path: str) -> dict:
@@ -122,76 +148,109 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _fields(value, path: str, readers: dict, required=()) -> dict:
+    """The fields a block sets, each through its reader.
+
+    The block is an object of known fields; null leaves a field unset, and
+    a field whose reader is None is accepted and dropped.  Missing fields
+    are named with the block's key: "missing drift fields" at ``$.model.drift``.
+    """
+    block = _object(value, path)
+    unknown = set(block) - set(readers)
+    if unknown:
+        raise ConfigError(f"unknown fields: {sorted(unknown)}", path)
+    fields = {
+        k: readers[k](v, f"{path}.{k}")
+        for k, v in block.items()
+        if v is not None and readers[k] is not None
+    }
+    missing = [k for k in required if k not in fields]
+    if missing:
+        raise ConfigError(f"missing {path.rsplit('.', 1)[-1]} fields: {missing}", path)
+    return fields
+
+
+# What a block's constructor raises on a bad value inside an object.
+_FIELD_ERRORS = (ValueError, LookupError, TypeError, ArithmeticError)
+
+
+def _build(cls, value, path: str):
+    """A ``cls`` from its block: the fields without defaults are required,
+    and the constructor's refusal is reported at the block's path."""
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    fields = _fields(value, path, _READERS[cls], required)
+    try:
+        return cls(**fields)
+    except _FIELD_ERRORS as exc:
+        raise ConfigError(str(exc), path) from exc
+
+
+_DRIFTS = {cls.kind: cls for cls in (ConstantDrift, SegerdahlDrift, TabulatedDrift)}
+
+
+def _drift(value, path: str) -> DriftSpec:
+    block = dict(_object(value, path))
+    kind = block.pop("kind", None)
+    if kind is None:
+        raise ConfigError("missing drift fields: ['kind']", path)
+    if _string(kind, f"{path}.kind") not in _DRIFTS:
+        raise ConfigError(f"unknown drift kind {kind!r}", f"{path}.kind")
+    return _build(_DRIFTS[kind], block, path)
+
+
+def _output(value, path: str) -> dict:
+    output = _fields(value, path, _OUTPUT_FIELDS)
+    if output.get("format", "csv") not in ("csv", "json"):
+        raise ConfigError(f"unknown format {output['format']!r}", f"{path}.format")
+    return output
+
+
+# The fields of each block that builds a dataclass, and their readers.
+_READERS = {
+    ConstantDrift: {"c": _real},
+    SegerdahlDrift: {"K": _real, "lam": _real, "q": _real, "mu": _real},
+    TabulatedDrift: {
+        "x": _reals, "values": _reals, "interpolation": _string, "sign_domain": _reals,
+    },
+    # b, if present, is ignored: it is derived, never read.
+    PhaseType: {"beta": _reals, "B": _list_of(_reals), "b": None},
+    ModelSpec: {
+        "drift": _drift,
+        "jump_rate": _real,
+        "kill_rate": _real,
+        "jumps": partial(_build, PhaseType),
+        "jump_direction": _string,
+    },
+    PassageProblem: {"lower": _real, "upper": _real, "estimand": _string, "overshoot_xi": _real},
+    GridSpec: {"start": _real, "stop": _real, "points": _integer},
+}
+# The sim block builds mc_sim.SimConfig, which loading a config does not load.
+_SIM_FIELDS = {
+    "x0": _real, "n_paths": _integer, "seed": _integer, "max_time": _real, "kill_mode": _string,
+}
+_OUTPUT_FIELDS = {"directory": _string, "format": _string}
+_TOP_LEVEL = {
+    "schema_version": None,
+    "model": partial(_build, ModelSpec),
+    "problem": partial(_build, PassageProblem),
+    "grid": partial(_build, GridSpec),
+    "sim": partial(_fields, readers=_SIM_FIELDS),
+    "output": _output,
+}
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level document must be an object")
-    unknown = set(data) - _TOP_LEVEL
-    if unknown:
-        raise ConfigError(f"unknown fields: {sorted(unknown)}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION!r})",
             "$.schema_version",
         )
-    if "model" not in data:
+    if data.get("model") is None:
         raise ConfigError("a 'model' block is required", "$.model")
-    m = _object(data["model"], "$.model")
-    for key in ("drift", "jumps"):
-        if key in m:
-            _object(m[key], f"$.model.{key}")
-    try:
-        model = ModelSpec.from_dict(m)
-    except _FIELD_ERRORS as exc:
-        raise ConfigError(str(exc), "$.model") from exc
-
-    problem = None
-    if data.get("problem") is not None:
-        pr = _object(data["problem"], "$.problem")
-        try:
-            problem = PassageProblem.from_dict(pr)
-        except _FIELD_ERRORS as exc:
-            raise ConfigError(str(exc), "$.problem") from exc
-
-    grid = None
-    if data.get("grid") is not None:
-        g = _object(data["grid"], "$.grid")
-        unknown = set(g) - _GRID_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.grid")
-        missing = [k for k in ("start", "stop", "points") if g.get(k) is None]
-        if missing:
-            raise ConfigError(f"missing grid fields: {missing}", "$.grid")
-        try:
-            points = _integer(g["points"], "$.grid.points")
-            grid = GridSpec(float(g["start"]), float(g["stop"]), points)
-        except ConfigError:
-            raise
-        except _FIELD_ERRORS as exc:
-            raise ConfigError(str(exc), "$.grid") from exc
-
-    sim = None
-    if data.get("sim") is not None:
-        s = _object(data["sim"], "$.sim")
-        unknown = set(s) - _SIM_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.sim")
-        sim = dict(s)
-
-    output = None
-    if data.get("output") is not None:
-        o = _object(data["output"], "$.output")
-        unknown = set(o) - _OUTPUT_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown fields: {sorted(unknown)}", "$.output")
-        if not isinstance(o.get("directory", ""), str):
-            raise ConfigError("must be a string", "$.output.directory")
-        fmt = o.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {fmt!r}", "$.output.format")
-        output = dict(o)
-
-    return RunConfig(model=model, problem=problem, grid=grid, sim=sim, output=output)
+    return RunConfig(**_fields(data, "$", _TOP_LEVEL))
 
 
 def load_config_file(path: str) -> RunConfig:
@@ -205,17 +264,24 @@ def load_config_file(path: str) -> RunConfig:
     return parse_config(data)
 
 
+def _plain(value):
+    """``value`` as JSON data: a dataclass as the dict of its fields (a drift
+    with its kind), tuples and arrays as lists."""
+    if dataclasses.is_dataclass(value):
+        d = {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if isinstance(value, DriftSpec):
+            d["kind"] = value.kind
+        return d
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_to_dict(rc: RunConfig) -> dict:
-    d: dict = {"schema_version": SCHEMA_VERSION, "model": rc.model.to_dict()}
-    if rc.problem is not None:
-        d["problem"] = rc.problem.to_dict()
-    if rc.grid is not None:
-        d["grid"] = rc.grid.to_dict()
-    if rc.sim is not None:
-        d["sim"] = rc.sim
-    if rc.output is not None:
-        d["output"] = rc.output
-    return d
+    blocks = {name: block for name, block in _plain(rc).items() if block is not None}
+    return {"schema_version": SCHEMA_VERSION, **blocks}
 
 
 def dump_json(obj: dict, path: str) -> None:

@@ -24,10 +24,20 @@ from pdmpruin.cli import (
     main,
 )
 from pdmpruin.mc_sim import SimConfig
-from pdmpruin.passage_model import SolutionCurve
+from pdmpruin.passage_model import (
+    ConstantDrift,
+    ModelSpec,
+    PassageProblem,
+    SegerdahlDrift,
+    SolutionCurve,
+    TabulatedDrift,
+)
+from pdmpruin.phase_type import PhaseType
 from pdmpruin.serialization import (
+    _READERS,
     _SIM_FIELDS,
     ConfigError,
+    GridSpec,
     RunConfig,
     config_to_dict,
     load_config_file,
@@ -105,13 +115,29 @@ def run_cli(args, timeout=120):
 
 
 def with_value(base, path, value):
-    """Deep copy of a config with the field at ``path`` set to ``value``."""
+    """Deep copy of a config with the field at ``path`` (keys and list
+    indices) set to ``value``."""
     cfg = json.loads(json.dumps(base))
     target = cfg
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
     return cfg
+
+
+def without(base, path):
+    """Deep copy of a config with the field at ``path`` deleted."""
+    cfg = with_value(base, path, None)
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return cfg
+
+
+def dotted(path):
+    """The ConfigError path of a field: ``$.model.jumps.B[0][0]``."""
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
 
 
 # FIG1_CONFIG with its relaxing drift read from a 41-knot cubic table.
@@ -159,7 +185,43 @@ def _field_paths(block, prefix=()):
     return out
 
 
+def _number_paths(config):
+    """The path of every number of a config; a list is named by its first element."""
+    out = []
+    for path in _field_paths(config):
+        value = config
+        for key in path:
+            value = value[key]
+        while isinstance(value, list):
+            path, value = path + (0,), value[0]
+        if type(value) in (int, float):
+            out.append(path)
+    return out
+
+
 FUZZ_PATHS = [p for p in _field_paths(FUZZ_BASE) if p != ("schema_version",)]
+
+# (config, path) of every numeric field of every block: the fuzz base's, the
+# relaxing and constant drift fields, and the upper level and horizon, unset
+# in the fuzz base.
+NUMBER_FIELDS = (
+    [(FUZZ_BASE, p) for p in _number_paths(FUZZ_BASE)]
+    + [(FIG1_CONFIG, ("model", "drift", k)) for k in ("K", "lam", "q", "mu")]
+    + [(CONST_CONFIG, ("model", "drift", "c")), (FIG1_CONFIG, ("problem", "upper")),
+       (CONST_CONFIG, ("sim", "max_time"))]
+)
+INTEGER_FIELDS = {("grid", "points"), ("sim", "n_paths"), ("sim", "seed")}
+
+# (config, path) of every field that a block needs.
+REQUIRED_FIELDS = (
+    [(FIG1_CONFIG, ("model", "drift", k)) for k in ("kind", "K", "lam", "q", "mu")]
+    + [(CONST_CONFIG, ("model", "drift", "c"))]
+    + [(FUZZ_BASE, ("model", "drift", k)) for k in ("x", "values")]
+    + [(FIG1_CONFIG, ("model", "jumps", k)) for k in ("beta", "B")]
+    + [(FIG1_CONFIG, ("model", k)) for k in ("drift", "jump_rate", "kill_rate", "jumps")]
+    + [(FIG1_CONFIG, ("problem", "lower"))]
+    + [(FIG1_CONFIG, ("grid", k)) for k in ("start", "stop", "points")]
+)
 FIELD_NAMES = sorted({p[-1] for p in FUZZ_PATHS} | {"kind", "c", "K", "lam", "q", "mu", "b"})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -220,8 +282,28 @@ class TestConfigParsing:
         assert e.value.path == "$.model"
 
     def test_sim_fields_are_the_simulation_config_fields(self):
-        # A SimConfig field cannot outlive its config field, nor the reverse.
-        assert _SIM_FIELDS == {f.name for f in dataclasses.fields(SimConfig)} - {"model", "problem"}
+        # A constructor field cannot outlive its config field, nor the reverse.
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert _SIM_FIELDS.keys() == names(SimConfig) - {"model", "problem"}
+        for cls in (ConstantDrift, SegerdahlDrift, TabulatedDrift, ModelSpec, PassageProblem,
+                    GridSpec):
+            assert _READERS[cls].keys() == names(cls)
+        assert _READERS[PhaseType].keys() == names(PhaseType) | {"b"}
+
+    @pytest.mark.parametrize("path, default", [
+        (("model", "jump_direction"), "downward"),
+        (("problem", "estimand"), "ruin_below"),
+        (("problem", "overshoot_xi"), 0.0),
+        (("model", "drift", "interpolation"), "cubic"),
+    ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+    def test_null_leaves_an_optional_field_at_its_default(self, path, default):
+        rc = parse_config(with_value(CUBIC_TABLE_CONFIG, path, None))
+        block = rc.model if path[0] == "model" else rc.problem
+        for key in path[1:]:
+            block = getattr(block, key)
+        assert block == default
 
     def test_missing_model(self):
         with pytest.raises(ConfigError, match="model"):
@@ -256,6 +338,7 @@ class TestConfigParsing:
         except ConfigError:
             return
         assert isinstance(rc, RunConfig)
+        assert config_to_dict(parse_config(config_to_dict(rc))) == config_to_dict(rc)
 
 
 class TestDispatchGates:
@@ -373,15 +456,49 @@ class TestExitCodes:
         ("solve", {k: v for k, v in FIG1_CONFIG.items() if k != "grid"},
          "$.grid: a 'grid' block is required for this subcommand"),
         ("solve", with_value(FUZZ_BASE, ("model", "drift", "x"), [0.0, 2.0, 1.0]),
-         "$.model: drift table x must be strictly increasing"),
+         "$.model.drift: drift table x must be strictly increasing"),
         ("solve", with_value(FUZZ_BASE, ("model", "drift", "sign_domain"), [0.0, 3.0]),
-         "$.model: sign_domain must be an interval inside the table"),
+         "$.model.drift: sign_domain must be an interval inside the table"),
+        # used to print "'int' object is not subscriptable"
+        ("solve", with_value(FUZZ_BASE, ("model", "drift", "sign_domain"), 3),
+         "$.model.drift.sign_domain: must be a list, got int"),
+        ("solve", with_value(FUZZ_BASE, ("model", "drift", "sign_domain"), [0.0, 1.0, 2.0]),
+         "$.model.drift: sign_domain must be a pair [lo, hi]"),
+        ("solve", with_value(CONST_CONFIG, ("model", "drift", "c"), 10**400),
+         "$.model.drift.c: must be a finite number"),
+        ("solve", with_value(CONST_CONFIG, ("model", "drift", "kind"), "cubic"),
+         "$.model.drift.kind: unknown drift kind 'cubic'"),
     ], ids=["no-problem", "no-x0", "array", "grid-step", "no-grid", "table-order",
-            "sign-domain"])
+            "sign-domain", "sign-domain-number", "sign-domain-triple", "huge-integer",
+            "drift-kind"])
     def test_config_refusal_names_the_field(self, tmp_path, capsys, subcommand, config, message):
         path = write_config(tmp_path, config)
         assert main([subcommand, "--config", path, "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["1", True])
+    @pytest.mark.parametrize("config, path", NUMBER_FIELDS,
+                             ids=[dotted(p) for _, p in NUMBER_FIELDS])
+    def test_number_field_refuses_a_string_or_bool(self, tmp_path, capsys, config, path, value):
+        # "c": "1.0", "jump_rate": true, "sim": {"x0": "1"} and "B": [["-2"]]
+        # all used to run with exit 0
+        kind = "an integer" if path in INTEGER_FIELDS else "a number"
+        cfg = write_config(tmp_path, with_value(config, path, value))
+        assert main(["solve", "--config", cfg, "--quiet", "--output", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {dotted(path)}: must be {kind}, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("null", [False, True], ids=["deleted", "null"])
+    @pytest.mark.parametrize("config, path", REQUIRED_FIELDS,
+                             ids=[dotted(p) for _, p in REQUIRED_FIELDS])
+    def test_missing_required_field_is_named(self, tmp_path, capsys, config, path, null):
+        # a missing model.drift.c used to print "config error: $.model: 'c'"
+        cfg = with_value(config, path, None) if null else without(config, path)
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {dotted(path[:-1])}: missing {path[-2]} fields: ['{path[-1]}']\n"
+        )
 
     @pytest.mark.parametrize("field", ["start", "stop", "points"])
     def test_missing_grid_field_is_named(self, tmp_path, capsys, field):
@@ -585,7 +702,8 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert main([subcommand, "--config", config, "--quiet", "--output", out]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: $.{path[0]}: ")
+        block = path[:2] if path[1:2] in (("drift",), ("jumps",)) else path[:1]
+        assert err.startswith(f"config error: {dotted(block)}: ")
         assert "must be finite" in err
 
     @pytest.mark.parametrize("subcommand", ["solve", "simulate"])
@@ -941,6 +1059,19 @@ class TestSubcommands:
         R = (1.0 - q + math.sqrt((1.0 - q) ** 2 + 8.0 * q)) / 2.0
         bound = data["censored_fraction"] * math.exp(-R * x0)
         assert f"censoring bias bound: {bound:.3g}\n" in capsys.readouterr().out
+
+    def test_estimate_json_carries_the_printed_bias_bound(self, tmp_path, capsys):
+        # The killed ladder route under a short horizon censors some paths.
+        cfg = with_value(with_value(CONST_CONFIG, ("model", "kill_rate"), 0.1),
+                         ("sim", "max_time"), 10.0)
+        out = tmp_path / "est.json"
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()[1]
+        data = json.loads(out.read_text())
+        assert data["n_censored"] > 0 and data["censored_weight_bound"] > 0.0
+        assert printed == f"censoring bias bound: {data['censoring_bias_bound']:.3g}"
+        assert data["censoring_bias_bound"] == data["censored_fraction"] * data["censored_weight_bound"]
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         path = write_config(tmp_path, FIG1_CONFIG)

@@ -622,6 +622,7 @@ class TestPassageEstimateType:
         assert est.overshoots is None
         d = est.to_dict()
         assert d["mean"] == 0.5
+        assert d["censored_weight_bound"] == 1.0 and d["censoring_bias_bound"] == 0.4
         assert d["target"] == "psi_q"
 
 

@@ -20,7 +20,6 @@ from pdmpruin.passage_model import (
     assemble_system,
     constant_drift_root,
     constant_drift_solution,
-    drift_from_dict,
     ode_residual,
     phi_checked,
     segerdahl_q0_solution,
@@ -30,8 +29,14 @@ from pdmpruin.passage_model import (
 from pdmpruin.mc_sim import SimConfig, _lundberg_level, estimate
 from pdmpruin.phase_type import PhaseType, coxian, erlang, exponential
 from pdmpruin.riccati import phi_k_closed_form
+from pdmpruin.serialization import RunConfig, config_to_dict, parse_config
 
 FIG1 = dict(K=0.75, lam=0.5, q=0.5, mu=1.5)
+
+
+def round_trip(model: ModelSpec) -> ModelSpec:
+    """The model of a config written out and read back."""
+    return parse_config(config_to_dict(RunConfig(model=model))).model
 
 
 def fig1_model():
@@ -202,13 +207,15 @@ class TestDrifts:
     def test_drift_serialization_round_trip(self):
         for d in (ConstantDrift(1.5), SegerdahlDrift(**FIG1),
                   TabulatedDrift((0.0, 1.0), (1.0, 2.0), "linear")):
-            again = drift_from_dict(d.to_dict())
+            again = round_trip(ModelSpec(d, 1.0, 0.0, exponential(1.0))).drift
             assert type(again) is type(d)
             assert_allclose(again.phi(0.5), d.phi(0.5))
 
     def test_unknown_drift_fields_rejected(self):
+        d = config_to_dict(RunConfig(model=ModelSpec(ConstantDrift(1.0), 1.0, 0.0, exponential(1.0))))
+        d["model"]["drift"]["bogus"] = 2
         with pytest.raises(ValueError, match="unknown"):
-            drift_from_dict({"kind": "constant", "c": 1.0, "bogus": 2})
+            parse_config(d)
 
 
 class TestSpecs:
@@ -235,7 +242,7 @@ class TestSpecs:
 
     def test_model_round_trip(self):
         m = fig1_model()
-        again = ModelSpec.from_dict(m.to_dict())
+        again = round_trip(m)
         assert again.jump_rate == m.jump_rate
         assert again.drift == m.drift
 

@@ -18,6 +18,13 @@ from pdmpruin.phase_type import (
     tail,
     validate,
 )
+from pdmpruin.passage_model import ConstantDrift, ModelSpec
+from pdmpruin.serialization import RunConfig, config_to_dict, parse_config
+
+
+def config_of(pt: PhaseType) -> dict:
+    """A config whose model jumps by ``pt``."""
+    return config_to_dict(RunConfig(model=ModelSpec(ConstantDrift(1.0), 1.0, 0.0, pt)))
 
 
 def exp_series(z, terms=60):
@@ -358,19 +365,21 @@ class TestMatrixExp:
 class TestSerialization:
     def test_round_trip(self):
         pt = coxian([3.0, 2.0, 1.0], [0.7, 0.5])
-        again = PhaseType.from_dict(pt.to_dict())
+        again = parse_config(config_of(pt)).model.jumps
         assert_allclose(again.beta, pt.beta)
         assert_allclose(again.B, pt.B)
 
     def test_b_is_recomputed_not_read(self):
-        d = exponential(2.0).to_dict()
-        d["b"] = [123.0]  # must be ignored
-        pt = PhaseType.from_dict(d)
+        d = config_of(exponential(2.0))
+        d["model"]["jumps"]["b"] = [123.0]  # must be ignored
+        pt = parse_config(d).model.jumps
         assert_allclose(pt.b, [2.0])
 
     def test_unknown_field_rejected(self):
+        d = config_of(exponential(1.0))
+        d["model"]["jumps"]["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
-            PhaseType.from_dict({"beta": [1.0], "B": [[-1.0]], "extra": 1})
+            parse_config(d)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
