@@ -59,20 +59,31 @@ OUTPUT_DIR_ENV = "PDMPRUIN_OUTPUT_DIR"
 def _output_dir(args, rc: RunConfig | None = None) -> str:
     """``--output-dir``, else the config's ``output.directory``, else $PDMPRUIN_OUTPUT_DIR or ."""
     configured = (rc.output or {}).get("directory") if rc is not None else None
-    d = getattr(args, "output_dir", None) or configured or os.environ.get(OUTPUT_DIR_ENV, ".")
+    d = args.output_dir or configured or os.environ.get(OUTPUT_DIR_ENV, ".")
     os.makedirs(d, exist_ok=True)
     return d
 
 
+def _write_result(args, name: str, **writers) -> None:
+    """Write a result by the writer its file's extension names: to ``name``
+    if that ends in one of ``writers`` (``csv=...`` for .csv), else to
+    ``name`` with the first writer's extension appended."""
+    fmt = next((f for f in writers if name.endswith(f".{f}")), None)
+    if fmt is None:
+        fmt = next(iter(writers))
+        name = f"{name}.{fmt}"
+    writers[fmt](name)
+    _say(args, f"wrote {name}")
+
+
 def _say(args, *parts) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(*parts)
 
 
 def _emit_config(args, rc: RunConfig) -> None:
-    path = getattr(args, "emit_config", None)
-    if path:
-        dump_json(config_to_dict(rc), path)
+    if args.emit_config:
+        dump_json(config_to_dict(rc), args.emit_config)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +183,7 @@ def cmd_check_solvability(args) -> int:
     for note in report.notes:
         _say(args, f"note: {note}")
     if args.output:
-        dump_json(report.to_dict(), args.output)
-        _say(args, f"wrote {args.output}")
+        _write_result(args, args.output, json=lambda path: dump_json(report.to_dict(), path))
     _emit_config(args, rc)
     return EXIT_OK
 
@@ -202,8 +212,7 @@ def cmd_check_integrability(args) -> int:
             f"{result.t_spread:.3e} (worst point x={result.witness_x:g})",
         )
     if args.output:
-        dump_json(result.to_dict(), args.output)
-        _say(args, f"wrote {args.output}")
+        _write_result(args, args.output, json=lambda path: dump_json(result.to_dict(), path))
     _emit_config(args, rc)
     return EXIT_OK
 
@@ -218,20 +227,13 @@ def cmd_solve(args) -> int:
         for r in reasons:
             _say(args, f"gate failed: {r}")
         curve = solve_bvp(rc.model, problem, grid)
-    base = args.output or os.path.join(_output_dir(args, rc), "solution")
-    fmt = args.format or (rc.output or {}).get("format", "csv")
-    if fmt == "csv":
-        path = base if base.endswith(".csv") else base + ".csv"
-        curve.to_csv(path)
-    else:
-        path = base if base.endswith(".json") else base + ".json"
-        dump_json(curve.to_dict(), path)
     _say(args, f"method: {curve.method}")
     _say(
         args,
         f"psi({grid[0]:g}) = {curve.psi[0]:.12g}, psi({grid[-1]:g}) = {curve.psi[-1]:.12g}",
     )
-    _say(args, f"wrote {path}")
+    name = args.output or os.path.join(_output_dir(args, rc), "solution")
+    _write_result(args, name, csv=curve.to_csv, json=lambda path: dump_json(curve.to_dict(), path))
     _emit_config(args, rc)
     return EXIT_OK
 
@@ -251,21 +253,12 @@ def cmd_simulate(args) -> int:
     if est.n_censored:
         _say(args, f"censoring bias bound: {est.censoring_bias_bound:.3g}")
     if args.output:
-        if args.output.endswith(".csv"):
-            cols = [
-                "x0", "mean", "std_error", "n_paths", "n_ruined", "n_escaped",
-                "n_censored", "n_killed", "target",
-            ]
-            row = [
-                cfg.x0, est.mean, est.std_error, est.n_paths, est.n_ruined,
-                est.n_escaped, est.n_censored, est.n_killed, est.target,
-            ]
-            path = args.output
-            write_csv(path, cols, [row])
-        else:
-            path = args.output if args.output.endswith(".json") else args.output + ".json"
-            dump_json(est.to_dict(), path)
-        _say(args, f"wrote {path}")
+        cols = ["x0", "mean", "std_error", "n_paths", "n_ruined", "n_escaped", "n_censored",
+                "n_killed", "target"]
+        row = [cfg.x0, est.mean, est.std_error, est.n_paths, est.n_ruined, est.n_escaped,
+               est.n_censored, est.n_killed, est.target]
+        _write_result(args, args.output, json=lambda path: dump_json(est.to_dict(), path),
+                      csv=lambda path: write_csv(path, cols, [row]))
     _emit_config(args, rc)
     return EXIT_OK
 
@@ -316,11 +309,11 @@ def cmd_compare(args) -> int:
     if problem.estimand == "exit_above":
         notes.append("riccati_numeric unavailable: Psi/M is undefined at the lower level, "
                      "where exit above poses M(l) = 0")
-    elif model.n == 1 and model.jump_direction == "downward" and curves:
+    elif curves:
         ref = curves.get("closed_form") or curves.get("ode_bvp")
-        eta0 = ref.psi[0] / ref.m[0, 0]
         try:
             coeffs = to_riccati(model)
+            eta0 = ref.psi[0] / ref.m[0, 0]
             rsol = riccati_numeric(coeffs, eta0, (float(grid[0]), float(grid[-1])))
             mu = model.exponential_rate()
             psi_r, m_r = reconstruct_solution(rsol, mu, grid, m0=float(ref.m[0, 0]))
@@ -363,9 +356,7 @@ def cmd_compare(args) -> int:
         _say(args, csv_line(row))
 
     if args.output:
-        path = args.output if args.output.endswith(".csv") else args.output + ".csv"
-        write_csv(path, header, rows)
-        _say(args, f"wrote {path}")
+        _write_result(args, args.output, csv=lambda path: write_csv(path, header, rows))
     _emit_config(args, rc)
 
     frac = violations / idx.size
@@ -439,51 +430,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, config=True):
+    def subcommand(name, func, summary, config=True, directory=False):
+        # No abbreviations: figure1 --output would otherwise be --output-dir.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
         if config:
             p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--output", help="output file (extension added if missing)")
-        p.add_argument("--output-dir", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
+            p.add_argument("--output", help="output file; its extension picks the format, "
+                           "and is added if missing")
+        if directory:
+            p.add_argument("--output-dir", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
         p.add_argument("--emit-config", help="write the resolved config to this path")
+        return p
 
-    p = sub.add_parser("check-solvability", help="Lie-closure dimension and solvability")
-    common(p)
-    p.set_defaults(func=cmd_check_solvability)
+    subcommand("check-solvability", cmd_check_solvability, "Lie-closure dimension and solvability")
 
-    p = sub.add_parser("check-integrability", help="scaling-transformation gate")
-    common(p)
+    p = subcommand("check-integrability", cmd_check_integrability, "scaling-transformation gate")
     p.add_argument("--grid-points", type=_at_least(2), default=256)
-    p.set_defaults(func=cmd_check_integrability)
 
-    p = sub.add_parser("solve", help="closed form if available, else the ODE oracle")
-    common(p)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.set_defaults(func=cmd_solve)
+    subcommand("solve", cmd_solve, "closed form if available, else the ODE oracle", directory=True)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate")
-    common(p)
+    p = subcommand("simulate", cmd_simulate, "Monte Carlo estimate")
     p.add_argument("--paths", type=_at_least(1), help="number of paths")
     p.add_argument("--seed", type=int, help="rng seed")
     p.add_argument("--max-time", type=float, help="censoring horizon")
     p.add_argument("--x0", type=float, help="initial level")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="cross-check all applicable methods")
-    common(p)
+    p = subcommand("compare", cmd_compare, "cross-check all applicable methods")
     p.add_argument("--paths", type=_at_least(1), help="MC paths per comparison point")
     p.add_argument("--mc-points", type=_at_least(1), default=10)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("figure1", help="emit the reference ruin/drift curves")
-    common(p, config=False)
+    p = subcommand("figure1", cmd_figure1, "emit the reference ruin/drift curves",
+                   config=False, directory=True)
     p.add_argument("--mu", type=float, default=1.5)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--K", type=float, default=0.75)
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--points", type=_at_least(2), default=201)
-    p.set_defaults(func=cmd_figure1)
 
     return parser
 

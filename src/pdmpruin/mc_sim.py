@@ -29,7 +29,6 @@ deterministic for a given (seed, n_paths).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -40,10 +39,10 @@ from .passage_model import (
     ModelSpec,
     NumericalError,
     PassageProblem,
+    _check_sim_fields,
     _decay_certificate,
     _route,
     assemble_system,
-    require_finite,
 )
 from .phase_type import PhaseType, sample as ph_sample
 
@@ -84,21 +83,9 @@ class SimConfig:
     kill_mode: str = "weight"
 
     def __post_init__(self):
-        require_finite("simulation", x0=self.x0, max_time=self.max_time)
-        for name in ("n_paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.max_time is not None and self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        _check_sim_fields(self.x0, self.n_paths, self.seed, self.max_time, self.kill_mode)
         if not (self.problem.lower <= self.x0 <= self.problem.upper_value):
             raise ValueError("x0 must lie in [lower, upper]")
-        if self.kill_mode not in ("weight", "horizon"):
-            raise ValueError("kill_mode must be 'weight' or 'horizon'")
 
     def resolved_max_time(self) -> float:
         if self.max_time is not None:

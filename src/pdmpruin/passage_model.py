@@ -23,6 +23,7 @@ B)^{-1} (Asmussen & Albrecher, 2010, ch. IX; Kyprianou, 2014, ch. 8).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
@@ -58,6 +59,23 @@ def require_finite(where: str, **fields) -> None:
     for name, value in fields.items():
         if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
             raise ValueError(f"{where} {name} must be finite")
+
+
+def _check_sim_fields(x0=None, n_paths=None, seed=None, max_time=None, kill_mode="weight"):
+    """Reject a simulation field that no problem admits (a field left out
+    passes): the one check of ``mc_sim.SimConfig`` and of a config's sim block."""
+    require_finite("simulation", x0=x0, max_time=max_time)
+    for name, value in (("n_paths", n_paths), ("seed", seed)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_paths is not None and n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if seed is not None and seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if max_time is not None and max_time <= 0:
+        raise ValueError("max_time must be positive")
+    if kill_mode not in ("weight", "horizon"):
+        raise ValueError("kill_mode must be 'weight' or 'horizon'")
 
 
 # ---------------------------------------------------------------------------

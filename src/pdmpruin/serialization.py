@@ -25,6 +25,7 @@ from .passage_model import (
     PassageProblem,
     SegerdahlDrift,
     TabulatedDrift,
+    _check_sim_fields,
     require_finite,
 )
 from .phase_type import PhaseType
@@ -198,11 +199,15 @@ def _drift(value, path: str) -> DriftSpec:
     return _build(_DRIFTS[kind], block, path)
 
 
-def _output(value, path: str) -> dict:
-    output = _fields(value, path, _OUTPUT_FIELDS)
-    if output.get("format", "csv") not in ("csv", "json"):
-        raise ConfigError(f"unknown format {output['format']!r}", f"{path}.format")
-    return output
+def _sim(value, path: str) -> dict:
+    """The sim block's fields, each checked as :class:`mc_sim.SimConfig`
+    checks it; x0 against the problem's levels is left to SimConfig."""
+    sim = _fields(value, path, _SIM_FIELDS)
+    try:
+        _check_sim_fields(**sim)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
+    return sim
 
 
 # The fields of each block that builds a dataclass, and their readers.
@@ -228,14 +233,13 @@ _READERS = {
 _SIM_FIELDS = {
     "x0": _real, "n_paths": _integer, "seed": _integer, "max_time": _real, "kill_mode": _string,
 }
-_OUTPUT_FIELDS = {"directory": _string, "format": _string}
 _TOP_LEVEL = {
     "schema_version": None,
     "model": partial(_build, ModelSpec),
     "problem": partial(_build, PassageProblem),
     "grid": partial(_build, GridSpec),
-    "sim": partial(_fields, readers=_SIM_FIELDS),
-    "output": _output,
+    "sim": _sim,
+    "output": partial(_fields, readers={"directory": _string}),
 }
 
 

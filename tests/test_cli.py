@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import json
@@ -170,7 +171,7 @@ BLOCKS = [("model",), ("problem",), ("grid",), ("sim",), ("output",),
 
 # Fuzz base: every block present, a tabulated drift so its fields are reached.
 FUZZ_BASE = with_value(
-    dict(FIG1_CONFIG, output={"format": "csv", "directory": "out"}),
+    dict(FIG1_CONFIG, output={"directory": "out"}),
     ("model", "drift"),
     {"kind": "tabulated", "x": [0.0, 1.0, 2.0], "values": [-1.0, -1.5, -2.0],
      "interpolation": "linear", "sign_domain": [0.0, 2.0]},
@@ -413,7 +414,28 @@ USAGE_ERRORS = [
 ] + [
     ["check-integrability", "--config", "cfg.json", "--output", "gate", "--grid-points", "1"],
     ["simulate", "--config", "cfg.json", "--output", "est", "--seed", "-1"],
+] + [
+    # Options that no subcommand has: the output's extension picks its
+    # format, figure1 names its own files, and only solve and figure1 write
+    # into a directory.
+    ["solve", "--config", "cfg.json", "--format", "json"],
+    ["figure1", "--output", "f"],
+] + [
+    [subcommand, "--config", "cfg.json", "--output-dir", "d"]
+    for subcommand in ("check-solvability", "check-integrability", "simulate", "compare")
 ]
+
+# Sim fields that no problem admits, each with its refusal at $.sim.
+BAD_SIM_FIELDS = {
+    "x0-nan": ("x0", NAN, "simulation x0 must be finite"),
+    "max_time-inf": ("max_time", INF, "simulation max_time must be finite"),
+    "n_paths-negative": ("n_paths", -5, "n_paths must be >= 1"),
+    "n_paths-zero": ("n_paths", 0, "n_paths must be >= 1"),
+    "seed-negative": ("seed", -3, "seed must be nonnegative"),
+    "max_time-negative": ("max_time", -1.0, "max_time must be positive"),
+    "max_time-zero": ("max_time", 0.0, "max_time must be positive"),
+    "kill_mode": ("kill_mode", "foo", "kill_mode must be 'weight' or 'horizon'"),
+}
 
 
 class TestExitCodes:
@@ -468,9 +490,12 @@ class TestExitCodes:
          "$.model.drift.c: must be a finite number"),
         ("solve", with_value(CONST_CONFIG, ("model", "drift", "kind"), "cubic"),
          "$.model.drift.kind: unknown drift kind 'cubic'"),
+        # the extension of --output picks the format
+        ("solve", dict(CONST_CONFIG, output={"directory": "d", "format": "json"}),
+         "$.output: unknown fields: ['format']"),
     ], ids=["no-problem", "no-x0", "array", "grid-step", "no-grid", "table-order",
             "sign-domain", "sign-domain-number", "sign-domain-triple", "huge-integer",
-            "drift-kind"])
+            "drift-kind", "output-format"])
     def test_config_refusal_names_the_field(self, tmp_path, capsys, subcommand, config, message):
         path = write_config(tmp_path, config)
         assert main([subcommand, "--config", path, "--quiet"]) == EXIT_CONFIG
@@ -537,7 +562,7 @@ class TestExitCodes:
         cfg["grid"] = {"start": 0.0, "stop": 2.0, "points": 11}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "s.json"
-        argv = ["solve", "--config", path, "--output", str(out), "--format", "json", "--quiet"]
+        argv = ["solve", "--config", path, "--output", str(out), "--quiet"]
         assert main(argv) == EXIT_OK
         curve = json.loads(out.read_text())
         assert curve["psi"] == [0.0] * 11 and curve["m"] == [[0.0]] * 11
@@ -705,6 +730,34 @@ class TestExitCodes:
         block = path[:2] if path[1:2] in (("drift",), ("jumps",)) else path[:1]
         assert err.startswith(f"config error: {dotted(block)}: ")
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIM_FIELDS))
+    def test_bad_sim_field_is_refused_when_the_config_is_read(
+        self, tmp_path, monkeypatch, capsys, case
+    ):
+        # solve builds no simulation, and used to emit these fields as given
+        field, value, message = BAD_SIM_FIELDS[case]
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, with_value(CONST_CONFIG, ("sim", field), value))
+        argv = ["solve", "--config", "cfg.json", "--output", "s.csv", "--emit-config", "e.json"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: $.sim: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check-solvability"], ["check-integrability"], ["compare", "--paths", "10"],
+        ["simulate", "--paths", "10", "--x0", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_sim_field_stops_every_subcommand(self, tmp_path, monkeypatch, capsys, argv):
+        # an --x0 or --paths override does not mend the config
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, with_value(CONST_CONFIG, ("sim", "n_paths"), -5))
+        assert main([*argv, "--config", "cfg.json", "--output", "r",
+                     "--emit-config", "e.json"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: $.sim: n_paths must be >= 1\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("subcommand", ["solve", "simulate"])
     def test_nan_kill_rate_exits_without_hanging(self, tmp_path, subcommand):
@@ -927,6 +980,22 @@ class TestCompare:
         assert note and 13.6 < float(note.group(1)) < 13.7
         assert out.read_text().splitlines()[0] == "x,psi_closed_form,psi_ode_bvp,mc_mean,mc_3sigma"
 
+    @pytest.mark.parametrize("config, reason", [
+        (ERLANG3_CONST_CONFIG,
+         "needs one-phase jumps (matrix Riccati equations are not supported)"),
+        (with_value(dict(CONST_CONFIG, problem={"lower": 0.0, "upper": 3.0},
+                         grid={"start": 0.0, "stop": 3.0, "points": 11}),
+                    ("model", "jump_direction"), "upward"),
+         "needs downward jumps (the ratio reduction is derived for them)"),
+    ], ids=["erlang3", "upward"])
+    def test_missing_riccati_column_is_noted(self, tmp_path, capsys, config, reason):
+        # one method each: the note comes before "nothing to compare"
+        path = write_config(tmp_path, config)
+        assert main(["compare", "--config", path, "--paths", "10"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert f"note: riccati_numeric unavailable: {reason}\n" in captured.out
+        assert "nothing to compare" in captured.err
+
 
 class TestSubcommands:
     def test_check_solvability_output(self, tmp_path, capsys):
@@ -1107,6 +1176,58 @@ class TestOutputDirectory:
 
 # A small compare: its solvers, on few Monte Carlo paths.
 COMPARE_STEP = ["compare", "--paths", "2000", "--mc-points", "3"]
+
+
+class TestOutputNames:
+    """A result goes to ``--output`` if that ends in one of the subcommand's
+    formats, else to it with the first one's extension appended; the
+    extension picks the format."""
+
+    @pytest.mark.parametrize("argv, written", [
+        (["solve", "--output", "r.json"], "r.json"),
+        (["solve", "--output", "r"], "r.csv"),
+        (["solve", "--output", "r.txt"], "r.txt.csv"),
+        (["simulate", "--paths", "1000", "--output", "r"], "r.json"),
+        (["simulate", "--paths", "1000", "--output", "r.csv"], "r.csv"),
+        ([*COMPARE_STEP, "--output", "r"], "r.csv"),
+        ([*COMPARE_STEP, "--output", "r.json"], "r.json.csv"),
+        (["check-solvability", "--output", "r"], "r.json"),
+        (["check-integrability", "--output", "r"], "r.json"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_written_to(self, tmp_path, monkeypatch, capsys, argv, written):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, CONST_CONFIG)
+        assert main([*argv, "--config", "cfg.json"]) == EXIT_OK
+        assert f"wrote {written}\n" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", written])
+        text = (tmp_path / written).read_text()
+        if written.endswith(".json"):
+            assert isinstance(json.loads(text), dict)
+        else:
+            assert text.split(",", 1)[0] in ("x", "x0")
+
+
+# Every option of every subcommand: a new one is a deliberate edit here.
+SUBCOMMAND_OPTIONS = {
+    "check-solvability": {"--config", "--output", "--quiet", "--emit-config"},
+    "check-integrability": {"--config", "--output", "--quiet", "--emit-config", "--grid-points"},
+    "solve": {"--config", "--output", "--output-dir", "--quiet", "--emit-config"},
+    "simulate": {"--config", "--output", "--quiet", "--emit-config", "--paths", "--seed",
+                 "--max-time", "--x0"},
+    "compare": {"--config", "--output", "--quiet", "--emit-config", "--paths", "--mc-points"},
+    "figure1": {"--output-dir", "--quiet", "--emit-config", "--mu", "--lam", "--q", "--K",
+                "--x-max", "--points"},
+}
+
+
+def test_each_subcommand_has_its_option_set():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
 
 
 def loaded_modules(code, package):
