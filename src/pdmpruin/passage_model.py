@@ -648,8 +648,8 @@ def constant_drift_solution(model: ModelSpec, x) -> tuple[np.ndarray, np.ndarray
     return psi, m
 
 
-# Largest accepted bound on the truncated tail of the zero-kill normalization
-# integral, relative to max(integral, 1).
+# Largest factor by which the relative error of the zero-kill form's start,
+# at the far point X of its backward integration, reaches a grid point.
 QUAD_TOL = 1e-10
 
 
@@ -660,6 +660,17 @@ def _segerdahl_q0_full(model: ModelSpec, x):
     plus M(0) = 1; valid as the ruin probability only when the process
     drifts upward overall (otherwise it is still an exact ODE solution,
     but the constant pair is the probabilistic one).
+
+    With Z' = lam/phi - mu and Z(0) = 0, u = e^{-Z} int_x^inf e^Z and
+    w = e^{-Z} int_x^inf (lam/phi) e^Z solve u' = -1 - Z' u and
+    w' = -lam/phi - Z' w, which attract backward where Z' < 0, and the
+    weight W' = Z' W with W(X) = QUAD_TOL gives E = W/W(0) = e^Z.  Then
+    M = u E/u(0), Psi = w E/(mu u(0)): products with nothing to cancel.
+    All three are integrated once from a far point X down to 0, started at
+    u's and w's frozen-coefficient values, whose error reaches a grid point
+    x damped by QUAD_TOL/W(x) <= QUAD_TOL, so the tail keeps its relative
+    accuracy; W, small far out, lets the step control coast where an error
+    is damped below that.
     """
     if model.kill_rate != 0.0:
         raise ValueError("needs kill rate 0")
@@ -672,80 +683,58 @@ def _segerdahl_q0_full(model: ModelSpec, x):
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
 
-    def zprime(v):
-        return -mu + lam / phi_checked(drift, v)
-
-    # Certify an eventual negative slope of Z, then a truncation point whose
-    # exponential remainder bound is below the quadrature tolerance.
-    x_end = max(float(arr.max()), 1.0)
-    xc = x_end
-    delta = None
-    for _ in range(60):
+    diverges = "needs a decaying exponent (the normalization integral diverges)"
+    # Certify an eventual negative slope of Z, and its rate delta there.
+    xc = max(float(arr.max()), 1.0)
+    while True:
         probe = np.linspace(xc, 4.0 * xc, 65)
         try:
-            s = float(np.max(zprime(probe)))
+            s = float(np.max(lam / phi_checked(drift, probe))) - mu
         except ValueError as exc:
             raise ValueError(f"cannot certify decay of the exponent: {exc}") from exc
         if s < 0:
-            delta = -s
             break
         xc *= 2.0
         if xc > 1e7:
-            break
-    if delta is None:
-        raise ValueError("needs a decaying exponent (the normalization integral diverges)")
+            raise ValueError(diverges)
 
-    def rhs(v, y):
-        J, F = y
-        zp = lam / phi_checked(drift, v)
-        return [zp, math.exp(-mu * v + J)]
+    def rhs(t, y):  # in t = X - x, so that the integration runs forward
+        u, w, W = y
+        rate = lam / phi_checked(drift, X - t)
+        zp = rate - mu
+        return [1.0 + zp * u, rate + zp * w, -zp * W]
 
     from ._dop853 import integrate as dop853
 
-    sols = []
-    start, y0 = 0.0, [0.0, 0.0]
-    for _ in range(80):
-        sol = dop853(rhs, start, xc, y0, 1e-12, 1e-14)
-        if sol.message is not None:
-            raise NumericalError(f"quadrature integration failed: {sol.message}")
-        sols.append(sol)
-        J_c, F_c = sol.y[:, -1]
-        rem_bound = math.exp(-mu * xc + J_c) / delta
-        if rem_bound <= QUAD_TOL * max(F_c, 1.0):
-            break
-        start, y0 = xc, [J_c, F_c]
-        xc *= 2.0
-        probe = np.linspace(xc, 4.0 * xc, 65)
-        s = float(np.max(zprime(probe)))
-        if s >= 0:
-            raise ValueError("needs a decaying exponent (the normalization integral diverges)")
-        delta = -s
-    else:
-        raise NumericalError("could not certify the improper integral remainder")
-
-    def eval_JF(v):
-        v = np.atleast_1d(np.asarray(v, float))
-        out = np.empty((2, v.size))
-        for s in sols:
-            mask = (v >= s.t[0]) & (v <= s.t[-1])
-            if np.any(mask):
-                out[:, mask] = s(v[mask])
-        return out
-
-    J_c, F_c = sols[-1].y[:, -1]
-    I_total = F_c
-    psi0 = 1.0 - 1.0 / (mu * I_total)
-
-    J, F = eval_JF(arr)
-    Z = -mu * arr + J
-    eZ = np.exp(Z)
-    I = I_total - F
-    m = mu * (1.0 - psi0) * I
-    psi = (1.0 - psi0) * (mu * I - eZ)
-    zp = -mu + lam / phi_checked(drift, arr)
-    dm = -mu * (1.0 - psi0) * eZ
-    dpsi = (1.0 - psi0) * (-mu * eZ - zp * eZ)
-    return psi, m, dpsi, dm, psi0
+    # ln(1/QUAD_TOL) from xc on at the rate delta = -s, and one e-fold more:
+    # far out W is held to an absolute tolerance only, and that error must
+    # not read as too little damping where Z' is constant.
+    X = xc + (math.log(1.0 / QUAD_TOL) + 1.0) / -s
+    with np.errstate(over="ignore", invalid="ignore"):  # W = QUAD_TOL e^{Z - Z(X)} may overflow
+        for _ in range(80):
+            rate = lam / phi_checked(drift, X)
+            if not rate < mu:
+                raise ValueError(diverges)
+            u_X = 1.0 / (mu - rate)
+            sol = dop853(rhs, 0.0, X, [u_X, rate * u_X, QUAD_TOL], 1e-12, 1e-14)
+            if sol.message is not None:
+                raise NumericalError(f"quadrature integration failed: {sol.message}")
+            u, w, W = sol(X - arr)
+            if not np.isfinite([*W, sol.y[2, -1]]).all():
+                raise NumericalError("quadrature integration failed: e^-Z overflows on the grid")
+            if W.min() >= 1.0:  # the start's error is damped by QUAD_TOL on the grid
+                break
+            X *= 2.0
+        else:
+            raise NumericalError("could not certify the improper integral remainder")
+    u0, w0, W0 = sol.y[:, -1]
+    E = W / W0
+    rate = lam / phi_checked(drift, arr)
+    m = u * E / u0
+    psi = w * E / (mu * u0)
+    dm = -E / u0
+    dpsi = -rate * E / (mu * u0)
+    return psi, m, dpsi, dm, w0 / (mu * u0)
 
 
 def segerdahl_q0_solution(model: ModelSpec, x):

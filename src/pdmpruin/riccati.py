@@ -391,8 +391,6 @@ class RiccatiBlowUpError(NumericalError):
 class RiccatiSolution:
     """Dense solution of the ratio equation plus its running integral."""
 
-    x: np.ndarray
-    eta_values: np.ndarray
     _dense: object
     x_start: float
 
@@ -432,7 +430,7 @@ def riccati_numeric(
     sol = dop853(rhs, x0, x1, [float(eta0), 0.0], RICCATI_RTOL, RICCATI_ATOL)
     if sol.message is not None:
         raise RiccatiBlowUpError(float(sol.t[-1]))
-    return RiccatiSolution(x=sol.t, eta_values=sol.y[0], _dense=sol, x_start=x0)
+    return RiccatiSolution(_dense=sol, x_start=x0)
 
 
 def reconstruct_solution(rsol: RiccatiSolution, mu: float, x, m0: float = 1.0):

@@ -254,7 +254,16 @@ def parse_config(data: dict) -> RunConfig:
         )
     if data.get("model") is None:
         raise ConfigError("a 'model' block is required", "$.model")
-    return RunConfig(**_fields(data, "$", _TOP_LEVEL))
+    rc = RunConfig(**_fields(data, "$", _TOP_LEVEL))
+    if rc.problem is not None and rc.grid is not None:
+        lo, hi = rc.problem.lower, rc.problem.upper_value
+        if not (lo <= rc.grid.start and rc.grid.stop <= hi):
+            raise ConfigError(
+                f"grid [{rc.grid.start:g}, {rc.grid.stop:g}] must lie inside the problem's "
+                f"[lower, upper] = [{lo:g}, {hi:g}]",
+                "$.grid",
+            )
+    return rc
 
 
 def load_config_file(path: str) -> RunConfig:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import pdmpruin.cli as cli
@@ -391,6 +391,25 @@ class TestDispatchGates:
         assert curve is None
         assert reasons == [ONE_SIDED_REASON]
 
+    @seed(28)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(c=st.floats(0.1, 10.0), mu=st.floats(0.6, 2.5), share=st.floats(0.01, 1.0))
+    @example(c=1.0, mu=2.0, share=2.0 / 3.0)  # lam = 1: psi(30) came out -4.68e-14
+    def test_flat_table_zero_kill_form_keeps_its_tail(self, c, mu, share):
+        # A flat linear table is constant drift given as a table, so the
+        # zero-kill quadrature form answers, with the decay rate
+        # mu - lam/c >= 0.5 keeping its far point inside the table.
+        lam = c * share * (mu - 0.5)
+        drift = TabulatedDrift((0.0, 400.0), (c, c), "linear")
+        model = ModelSpec(drift, lam, 0.0, PhaseType((1.0,), ((-mu,),)))
+        grid = np.linspace(0.0, 30.0, 7)
+        curve, reasons = closed_form_gates(model, PassageProblem(0.0), grid)
+        assert curve is not None and curve.method == "closed_form", reasons
+        assert len(reasons) == len(cli.CLOSED_FORMS) - 1  # the zero-kill form answered
+        exact = lam / (c * mu) * np.exp(-(mu - lam / c) * grid)
+        assert np.all(curve.psi >= 0)
+        np.testing.assert_allclose(curve.psi, exact, rtol=1e-9, atol=0)
+
     def test_perturbed_tabulated_drift_falls_to_bvp(self, tmp_path):
         rc = parse_config(PERTURBED_TABLE_CONFIG)
         curve, reasons = closed_form_gates(rc.model, rc.problem, rc.grid.array())
@@ -425,6 +444,14 @@ USAGE_ERRORS = [
     for subcommand in ("check-solvability", "check-integrability", "simulate", "compare")
 ]
 
+# Grids outside the problem's levels, each with its refusal at $.grid.
+GRID_OUTSIDE_LEVELS = {
+    "below-lower": (with_value(CONST_CONFIG, ("grid",), {"start": -1.0, "stop": 5.0, "points": 7}),
+                    "grid [-1, 5] must lie inside the problem's [lower, upper] = [0, inf]"),
+    "above-upper": (with_value(CONST_CONFIG, ("problem",), {"lower": 0.0, "upper": 3.0}),
+                    "grid [0, 5] must lie inside the problem's [lower, upper] = [0, 3]"),
+}
+
 # Sim fields that no problem admits, each with its refusal at $.sim.
 BAD_SIM_FIELDS = {
     "x0-nan": ("x0", NAN, "simulation x0 must be finite"),
@@ -456,6 +483,21 @@ class TestExitCodes:
         config = write_config(tmp_path, with_value(FIG1_CONFIG, ("sim", "flow_tolerance"), 1e-10))
         assert main(["simulate", "--config", config, "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: $.sim: unknown fields: ['flow_tolerance']\n"
+
+    @pytest.mark.parametrize("subcommand", [
+        "solve", "check-solvability", "check-integrability", "simulate", "compare"])
+    @pytest.mark.parametrize("config, message", GRID_OUTSIDE_LEVELS.values(),
+                             ids=GRID_OUTSIDE_LEVELS)
+    def test_grid_outside_the_levels_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, subcommand, config, message
+    ):
+        # solve used to write psi(-1) = 1.359 > 1 with exit 0 below lower,
+        # and to exit 2 with a "numerical failure" past upper.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, config)
+        assert main([subcommand, "--config", "cfg.json", "--output", "out", "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: $.grid: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("points", [100.5, "101", True])
     def test_grid_points_must_be_an_integer(self, tmp_path, capsys, points):

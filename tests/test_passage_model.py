@@ -391,6 +391,23 @@ class TestSegerdahlQ0:
         _, res = ode_residual(m, grid, psi, mm, dpsi, dm)
         assert np.max(np.abs(res)) < 1e-8
 
+    def test_narrow_dip_past_the_grid_end_is_resolved(self):
+        # phi = 0.4 < lam E[C] on [5.2, 5.8], past the grid: Z' > 0 there, and
+        # a backward integration that steps over the dip gives psi(0) = 0.5.
+        # The literals are the forward quadrature this form replaced.
+        dip = TabulatedDrift((0, 5, 5.2, 5.8, 6, 400), (1, 1, 0.4, 0.4, 1, 1), "linear")
+        psi, mm = segerdahl_q0_solution(ModelSpec(dip, 1.0, 0.0, exponential(2.0)),
+                                        np.linspace(0.0, 5.0, 6))
+        assert_allclose(psi, [0.5039445942867, 0.1903777740172, 0.0750229874065,
+                              0.03258633297171, 0.01697476025304, 0.01123158360564], rtol=1e-8)
+        assert_allclose(mm, [1.0, 0.3728663594611, 0.1421567862398, 0.05728347737021,
+                             0.02606033193289, 0.0145739786379], rtol=1e-8)
+
+    def test_fast_constant_drift_keeps_its_relative_accuracy(self):
+        # psi(0) = lam E[C]/c: the forward quadrature gave 5.00097e-10 here.
+        psi, _ = segerdahl_q0_solution(const_model(c=1e9), np.array([0.0, 1.0]))
+        assert_allclose(psi, 5e-10 * np.exp([0.0, -(2.0 - 1e-9)]), rtol=1e-9)
+
     def test_negative_drift_is_not_the_ruin_probability(self):
         # The decay-plus-M(0)=1 normalization remains a valid ODE solution
         # for the relaxing drift with K < 1, but ruin is then certain and
