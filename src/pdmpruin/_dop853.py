@@ -1,12 +1,12 @@
 """Dormand-Prince 8(5,3) integration in numpy alone.
 
 A step-by-step port of ``scipy.integrate.solve_ivp(method="DOP853",
-dense_output=True)`` for forward integration: the same tableau and
-dense-output stages (Hairer, Norsett & Wanner, *Solving Ordinary
-Differential Equations I*, 2nd ed., Sec. II.5 and II.6), the same starting
-step (Sec. II.4), error norm and step controller, the same choice of
-dense-output piece at a node (the left one), and the same stop when the
-step size collapses below the spacing of floats, as it does at a pole.
+dense_output=True)`` in either direction: the same tableau and dense-output
+stages (Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations
+I*, 2nd ed., Sec. II.5 and II.6), the same starting step (Sec. II.4), error
+norm and controller, the same signed step clipped at the range's end, the
+same dense-output piece at a node (the one that ends there), and the same
+stop when the step size collapses below the spacing of floats, as at a pole.
 Every floating-point operation is the one scipy makes, in the same
 order, so nodes, node values and dense values agree with it bit for bit;
 only the import of ``scipy.integrate`` is saved.
@@ -170,15 +170,15 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t1, rtol, atol) -> float:
-    """Starting step from the size of y, y' and an estimate of y''."""
-    interval = t1 - t0
+def _initial_step(fun, t0, y0, f0, t1, direction, rtol, atol) -> float:
+    """Starting step |h| from the size of y, y' and an estimate of y''."""
+    interval = abs(t1 - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -205,18 +205,21 @@ class Dop853Solution:
     ``message`` is None when the integration reached its end; otherwise the
     step size collapsed and the nodes end at the last accepted step.
     Calling the solution evaluates the dense output: shape (n,) at a scalar,
-    (n, m) at m points; a node takes the piece that ends there.
+    (n, m) at m points; a node takes the piece that ends there, in the
+    direction of integration.
     """
 
-    def __init__(self, t, y, F, message=None):
+    def __init__(self, t, y, F, direction, message=None):
         self.t = np.array(t)
         self.y = np.array(y).T
         self._F = np.array(F)
+        self._direction = direction
+        self._keys = direction * self.t[1:-1]  # inner nodes, ascending either way
         self.message = message
 
     def __call__(self, x):
         x = np.asarray(x, float)
-        k = self.t[1:-1].searchsorted(x, "left")
+        k = self._keys.searchsorted(self._direction * x, "left")
         return _horner(self._F[k], self.y.T[k], (x - self.t[k]) / (self.t[k + 1] - self.t[k]))
 
 
@@ -234,31 +237,33 @@ def _horner(F: np.ndarray, y_old: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def integrate(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float) -> Dop853Solution:
-    """Integrate y' = fun(t, y) from ``t0`` to ``t1 > t0`` with dense output.
+    """Integrate y' = fun(t, y) from ``t0`` to ``t1`` with dense output.
 
-    A step size that falls below the float spacing at t, or is NaN, stops
-    the integration with ``message`` set.
+    ``t1`` may lie on either side of ``t0``; the range must be finite and
+    nonempty.  A step size that falls below the float spacing at t, or is
+    NaN, stops the integration with ``message`` set.
     """
     t0, t1 = float(t0), float(t1)
-    if not t1 > t0:
-        raise ValueError("integrate needs t1 > t0")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 != t1):
+        raise ValueError("integrate needs a finite range with t0 != t1")
+    direction = 1.0 if t1 > t0 else -1.0
     y = np.asarray(y0, float)
 
     def f_of(t, v):
         return np.asarray(fun(t, v), dtype=float)
 
     t, f = t0, f_of(t0, y)
-    h_abs = _initial_step(f_of, t, y, f, t1, rtol, atol)
+    h_abs = _initial_step(f_of, t, y, f, t1, direction, rtol, atol)
     K = np.empty((16, y.size))
     ts, ys, Fs = [t0], [y], []
-    while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    while direction * (t - t1) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:
-                return Dop853Solution(ts, ys, Fs, TOO_SMALL_STEP)
-            t_new = min(t + h_abs, t1)
+                return Dop853Solution(ts, ys, Fs, direction, TOO_SMALL_STEP)
+            t_new = min(t + h_abs, t1) if direction > 0 else max(t - h_abs, t1)
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
@@ -292,4 +297,4 @@ def integrate(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float)
         ts.append(t)
         ys.append(y)
         Fs.append(F)
-    return Dop853Solution(ts, ys, Fs)
+    return Dop853Solution(ts, ys, Fs, direction)

@@ -620,22 +620,16 @@ def constant_drift_root(model: ModelSpec) -> ConstantDriftRoot:
     mu = model.exponential_rate()
     if model.jump_direction != "downward":
         raise ValueError("needs downward jumps")
-    lam, q = model.jump_rate, model.kill_rate
-    a, b_, cc = c * mu, -(c * mu + lam + q), lam
-    disc = b_ * b_ - 4.0 * a * cc
-    if disc < 0:
-        if disc > -1e-12 * b_ * b_:
-            disc = 0.0
-        else:
-            raise ValueError("needs a real ratio root (the problem is misposed)")
-    sq = math.sqrt(disc)
-    # Stable quadratic roots (b_ < 0 always here).
-    r1 = (-b_ - sq) / (2.0 * a)
-    r2 = cc / (a * r1)
-    lo, hi = (r2, r1) if r2 <= r1 else (r1, r2)
-    if not (0.0 < lo <= 1.0 + 1e-12):
-        raise ValueError("needs a ratio root in (0, 1] (the problem is misposed)")
-    return ConstantDriftRoot(eta=min(lo, 1.0), eta_other=hi, critical=(disc == 0.0))
+    a, lam, q = c * mu, model.jump_rate, model.kill_rate
+    # eta = 2 lam / D, D = a + lam + q + S summed as 2 lam + q + (d + S):
+    # S >= |d| holds in floats too, so eta <= 1 to the bit.  S is taken by
+    # hypot, so that no square overflows.
+    d = a - lam
+    S = math.hypot(d, math.sqrt(q) * math.sqrt(q + 2.0 * (a + lam)))
+    D = 2.0 * lam + q + (d + S)
+    if not D < math.inf:
+        raise ValueError("needs the quadratic's coefficients within the float range")
+    return ConstantDriftRoot(2.0 * lam / D, D / (2.0 * a), S == 0.0)
 
 
 def constant_drift_solution(model: ModelSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -666,11 +660,11 @@ def _segerdahl_q0_full(model: ModelSpec, x):
     w' = -lam/phi - Z' w, which attract backward where Z' < 0, and the
     weight W' = Z' W with W(X) = QUAD_TOL gives E = W/W(0) = e^Z.  Then
     M = u E/u(0), Psi = w E/(mu u(0)): products with nothing to cancel.
-    All three are integrated once from a far point X down to 0, started at
-    u's and w's frozen-coefficient values, whose error reaches a grid point
-    x damped by QUAD_TOL/W(x) <= QUAD_TOL, so the tail keeps its relative
-    accuracy; W, small far out, lets the step control coast where an error
-    is damped below that.
+    All three are integrated once, backward from a far point X down to 0,
+    started at u's and w's frozen-coefficient values, whose error reaches a
+    grid point x damped by QUAD_TOL/W(x) <= QUAD_TOL, so the tail keeps its
+    relative accuracy; W, small far out, lets the step control coast where
+    an error is damped below that.
     """
     if model.kill_rate != 0.0:
         raise ValueError("needs kill rate 0")
@@ -698,11 +692,11 @@ def _segerdahl_q0_full(model: ModelSpec, x):
         if xc > 1e7:
             raise ValueError(diverges)
 
-    def rhs(t, y):  # in t = X - x, so that the integration runs forward
+    def rhs(x, y):
         u, w, W = y
-        rate = lam / phi_checked(drift, X - t)
+        rate = lam / phi_checked(drift, x)
         zp = rate - mu
-        return [1.0 + zp * u, rate + zp * w, -zp * W]
+        return [-1.0 - zp * u, -rate - zp * w, zp * W]
 
     from ._dop853 import integrate as dop853
 
@@ -716,10 +710,10 @@ def _segerdahl_q0_full(model: ModelSpec, x):
             if not rate < mu:
                 raise ValueError(diverges)
             u_X = 1.0 / (mu - rate)
-            sol = dop853(rhs, 0.0, X, [u_X, rate * u_X, QUAD_TOL], 1e-12, 1e-14)
+            sol = dop853(rhs, X, 0.0, [u_X, rate * u_X, QUAD_TOL], 1e-12, 1e-14)
             if sol.message is not None:
                 raise NumericalError(f"quadrature integration failed: {sol.message}")
-            u, w, W = sol(X - arr)
+            u, w, W = sol(arr)
             if not np.isfinite([*W, sol.y[2, -1]]).all():
                 raise NumericalError("quadrature integration failed: e^-Z overflows on the grid")
             if W.min() >= 1.0:  # the start's error is damped by QUAD_TOL on the grid
@@ -764,12 +758,12 @@ def _collocation(A, l, x_end, w, g, m_l, rtol, atol):
 
         rho' = rho v_0 - v[1:],  gamma' = gamma v_0,  v = A^T (1, rho).
 
-    They are integrated from x_end down to l, where they follow the one
-    growing mode; then M' = (A Y)[1:] is integrated up from M(l) = m_l, where
-    its n modes decay.  Integrating the ratios rather than z keeps a stiff
-    system finite.  For n = 1, eta = -rho is the ratio equation of
-    :func:`riccati.to_riccati`.  Returns the callable xs -> Y, shaped
-    (n+1, len(xs)).  The module-level name, kept from the collocation
+    They are integrated backward, from x_end down to l, where they follow
+    the one growing mode; then M' = (A Y)[1:] is integrated up from
+    M(l) = m_l, where its n modes decay.  Integrating the ratios rather than
+    z keeps a stiff system finite.  For n = 1, eta = -rho is the ratio
+    equation of :func:`riccati.to_riccati`.  Returns the callable xs -> Y,
+    shaped (n+1, len(xs)).  The module-level name, kept from the collocation
     solver this replaced, is where a tracer wraps the solve.
     """
     from ._dop853 import integrate as dop853
@@ -780,20 +774,20 @@ def _collocation(A, l, x_end, w, g, m_l, rtol, atol):
             raise NumericalError(f"two-point solve failed: {sol.message}")
         return sol
 
-    def ratio_rhs(u, r):  # in u = -x, so that the integration runs forward
-        v = A(-u).T @ np.concatenate(([1.0], r[:-1]))
-        return np.append(v[1:] - r[:-1] * v[0], -r[-1] * v[0])
+    def ratio_rhs(x, r):
+        v = A(x).T @ np.concatenate(([1.0], r[:-1]))
+        return np.append(r[:-1] * v[0] - v[1:], r[-1] * v[0])
 
     def m_rhs(x, m):
-        r = ratios(-x)
+        r = ratios(x)
         return (A(x) @ np.concatenate(([r[-1] - r[:-1] @ m], m)))[1:]
 
-    ratios = run(ratio_rhs, -x_end, -l, np.append(w[1:], g) / w[0])
+    ratios = run(ratio_rhs, x_end, l, np.append(w[1:], g) / w[0])
     forward = run(m_rhs, l, x_end, np.full(w.size - 1, m_l))
 
     def solution(xs):
         xs = np.atleast_1d(np.asarray(xs, float))
-        r, m = ratios(-xs), forward(xs)
+        r, m = ratios(xs), forward(xs)
         return np.vstack([r[-1] - (r[:-1] * m).sum(axis=0), m])
 
     return solution
@@ -964,9 +958,9 @@ def solve_bvp(model: ModelSpec, problem: PassageProblem, grid) -> SolutionCurve:
     * ``"two_point_ruin"``: M(l) = 1, Psi(L) = 0, with x_end = L;
     * ``"truncated"``: M(l) = 1 plus decay at a truncation point
       x_end = X_max, where w . Y = 0 with w the left eigenvector of the one
-      non-decaying mode of the system matrix projects it out; X_max is
-      pushed far enough that the truncation error certificate is below
-      ``BVP_BC_TOL``.
+      non-decaying mode of the system matrix projects it out; X_max is the
+      grid's end plus ln(1e10)/rate, so that the slowest decaying mode of
+      the system matrix, probed just past the grid, decays by 1e-10 there.
 
     There, and in the initial-value route, the boundary residual is the
     largest violation of the posed conditions, the error estimate is the

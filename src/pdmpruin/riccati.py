@@ -399,7 +399,7 @@ class RiccatiSolution:
         return vals if np.ndim(xs) else float(vals[0])
 
     def integral(self, xs):
-        """int_{x_start}^{x} eta, co-integrated to solver accuracy."""
+        """int_{x_start}^{x} eta, co-integrated from the range's start."""
         vals = self._dense(np.atleast_1d(np.asarray(xs, float)))[1]
         return vals if np.ndim(xs) else float(vals[0])
 
@@ -436,8 +436,8 @@ def riccati_numeric(
 def reconstruct_solution(rsol: RiccatiSolution, mu: float, x, m0: float = 1.0):
     """Rebuild (Psi, M) from a solved ratio: M = m0 exp(mu int eta - mu x) Psi = eta M.
 
-    The running integral starts at the solution's left endpoint, so m0 is
-    the value of M there.
+    The running integral starts at the range's start ``x_start`` (either
+    end), so m0 is the value of M there.
     """
     arr = np.atleast_1d(np.asarray(x, float))
     eta = np.atleast_1d(rsol.eta(arr))

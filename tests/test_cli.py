@@ -471,6 +471,15 @@ class TestExitCodes:
         out = str(tmp_path / "s")
         assert main(["solve", "--config", path, "--output", out, "--quiet"]) == EXIT_OK
 
+    def test_solve_with_huge_constant_drift(self, tmp_path, capsys):
+        # c = 1e16 once exited 2 with "float division by zero"; ruin from 0
+        # is lam/(c mu).
+        path = write_config(tmp_path, with_value(CONST_CONFIG, ("model", "drift", "c"), 1e16))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", path, "--output", str(out)]) == EXIT_OK
+        assert "psi(0) = 5e-17," in capsys.readouterr().out
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == 5e-17
+
     def test_missing_config_is_usage_error(self):
         assert main(["solve", "--config", "/no/such/file.json"]) == EXIT_CONFIG
 
@@ -1008,7 +1017,7 @@ class TestCompare:
     def test_riccati_blow_up_leaves_the_other_oracles(self, tmp_path, capsys):
         # With killing, the true eta is the repelling root of the ratio
         # equation; integrated forward from l it is driven to a pole.
-        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 1.0)
+        cfg = with_value(CONST_CONFIG, ("model", "kill_rate"), 2.0)
         cfg = dict(cfg, grid={"start": 0.0, "stop": 20.0, "points": 101}, sim={"seed": 11})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "cmp.csv"
@@ -1019,7 +1028,7 @@ class TestCompare:
         assert "comparison ok" in stdout
         note = re.search(r"^note: riccati_numeric unavailable: "
                          r"Riccati blow-up detected near x = (\S+)$", stdout, re.M)
-        assert note and 13.6 < float(note.group(1)) < 13.7
+        assert note and 10.4 < float(note.group(1)) < 10.5
         assert out.read_text().splitlines()[0] == "x,psi_closed_form,psi_ode_bvp,mc_mean,mc_3sigma"
 
     @pytest.mark.parametrize("config, reason", [

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from pdmpruin import _dop853
 from pdmpruin.passage_model import (
+    ConstantDrift,
     ModelSpec,
     NumericalError,
     SegerdahlDrift,
@@ -86,6 +87,39 @@ class TestAgainstScipy:
         assert np.array_equal(ours.y, ref.y)
         assert abs(ours.t[-1] - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("rtol, atol", [(1e-11, 1e-13), (1e-8, 1e-10)])
+    @pytest.mark.parametrize("jumps", [exponential(1.5), erlang(3, 3.0)], ids=["exp", "erlang3"])
+    def test_relaxing_system_backward(self, jumps, rtol, atol):
+        A = assemble_system(relaxing_model(jumps))
+        dim = jumps.n + 1
+
+        def fun(x, y):
+            return A(x) @ y
+
+        ours = _dop853.integrate(fun, 5.0, 0.0, np.ones(dim), rtol, atol)
+        assert ours.message is None and ours.t[-1] == 0.0
+        assert_same_solution(ours, scipy_dop853(fun, 5.0, 0.0, np.ones(dim), rtol, atol))
+
+    def test_riccati_right_hand_side_backward(self):
+        fun = riccati_rhs(to_riccati(relaxing_model(exponential(1.5))))
+        ours = _dop853.integrate(fun, 5.0, 0.0, [0.5, 0.0], RICCATI_RTOL, RICCATI_ATOL)
+        ref = scipy_dop853(fun, 5.0, 0.0, [0.5, 0.0], RICCATI_RTOL, RICCATI_ATOL)
+        assert ours.message is None
+        assert_same_solution(ours, ref)
+
+    def test_backward_blow_up_location(self):
+        # eta' = -eta^2 from eta(3) = 1 is 1/(x - 2): run backward, the step
+        # size collapses at the pole x = 2, on scipy's nodes.
+        def fun(x, y):
+            return [-y[0] * y[0]]
+
+        ours = _dop853.integrate(fun, 3.0, 0.0, [1.0], RICCATI_RTOL, RICCATI_ATOL)
+        ref = scipy_dop853(fun, 3.0, 0.0, [1.0], RICCATI_RTOL, RICCATI_ATOL)
+        assert ours.message == ref.message == _dop853.TOO_SMALL_STEP
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+        assert abs(ours.t[-1] - 2.0) < 1e-10
+
     def test_riccati_numeric_blow_up_is_reported_where_scipy_finds_it(self):
         coeffs = to_riccati(relaxing_model(exponential(1.5)))
         ref = scipy_dop853(riccati_rhs(coeffs), 0.0, 60.0, [-5.0, 0.0], RICCATI_RTOL, RICCATI_ATOL)
@@ -102,6 +136,21 @@ def test_nan_step_size_stops_the_integration():
         sol = _dop853.integrate(lambda t, y: [np.nan], 0.0, 1.0, [1.0], 1e-8, 1e-10)
     assert sol.message == _dop853.TOO_SMALL_STEP
     assert np.array_equal(sol.t, [0.0])
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 0.0), (0.0, np.inf), (0.0, -np.inf),
+                                    (np.nan, 1.0), (0.0, np.nan), (np.inf, 0.0)])
+def test_non_finite_or_empty_range_is_refused(t0, t1):
+    with pytest.raises(ValueError, match="finite range"):
+        _dop853.integrate(lambda t, y: -y, t0, t1, [1.0], 1e-8, 1e-10)
+
+
+def test_riccati_numeric_refuses_an_infinite_range():
+    # An infinite end once made the step size overflow to inf and every
+    # retry keep it there: the integration never returned.
+    coeffs = to_riccati(ModelSpec(ConstantDrift(1.0), 1.0, 0.0, exponential(2.0)))
+    with pytest.raises(ValueError, match="finite range"):
+        riccati_numeric(coeffs, 0.5, (0.0, np.inf))
 
 
 def test_integration_that_cannot_finish_is_numerical_error():

@@ -305,6 +305,44 @@ class TestConstantDriftSolution:
         assert_allclose(root.eta_other, 1.0)
         assert not root.critical
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    def test_root_matches_high_precision(self, lam, q, mu):
+        # Both roots of c mu eta^2 - (c mu + lam + q) eta + lam = 0 to the
+        # last bit or so, also where the quadratic is badly scaled.
+        import mpmath
+
+        for c in [0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6, 1e10, 1e16]:
+            root = constant_drift_root(const_model(c=c, lam=lam, q=q, mu=mu))
+            with mpmath.workdps(60):
+                a, b = mpmath.mpf(c) * mu, mpmath.mpf(c) * mu + lam + q
+                disc = mpmath.sqrt(b * b - 4 * a * lam)
+                lo, hi = min((b - disc) / (2 * a), 1), (b + disc) / (2 * a)
+                assert abs(root.eta - lo) <= 2e-16 * lo, c
+                assert abs(root.eta_other - hi) <= 4e-16 * hi, c
+
+    @pytest.mark.parametrize("c, lam, mu", [(1.0, 1.3, 1.0), (0.3, 0.7, 1.1), (1e-3, 2.9, 7.0)])
+    def test_certain_ruin_root_is_one_to_the_bit(self, c, lam, mu):
+        # Summed as c mu + lam + |c mu - lam|, the first case's D rounds
+        # below 2 lam and its root would read 1 + 2^-52.
+        root = constant_drift_root(const_model(c=c, lam=lam, mu=mu))
+        assert root.eta == 1.0
+        assert_allclose(root.eta_other, lam / (c * mu), rtol=1e-15)
+
+    @pytest.mark.parametrize("c", [1.0, 1e16, 1e160])
+    def test_zero_kill_root_is_lam_over_c_mu(self, c):
+        # Exactly, also where c = 1e16 once divided by zero and where
+        # (c mu)^2 overflows (1e160).
+        root = constant_drift_root(const_model(c=c))
+        assert root.eta == 1.0 / (2.0 * c)
+        assert not root.critical
+
+    def test_root_past_the_float_range_is_refused(self):
+        # c mu + lam + q + S overflows: the gate falls through to the next form.
+        with pytest.raises(ValueError, match="within the float range"):
+            constant_drift_root(const_model(c=1e308))
+
     def test_zero_kill_values(self):
         psi, m = constant_drift_solution(const_model(), np.array([0.0, 1.0]))
         assert_allclose(psi, [0.5, 0.5 * math.exp(-1.0)], rtol=1e-14)

@@ -10,6 +10,7 @@ from pdmpruin.passage_model import (
     SegerdahlDrift,
     TabulatedDrift,
     constant_drift_root,
+    constant_drift_solution,
     ode_residual,
 )
 from pdmpruin.phase_type import erlang, exponential
@@ -334,6 +335,22 @@ class TestRiccatiNumeric:
         assert_allclose(rsol.eta(60.0), root.eta_other, rtol=1e-8)
         rsol2 = riccati_numeric(coeffs, 0.5 * (root.eta + root.eta_other), (0.0, 60.0))
         assert_allclose(rsol2.eta(60.0), root.eta_other, rtol=1e-8)
+
+    def test_backward_run_is_attracted_to_the_ruin_root(self):
+        # The smaller root repels forward and so attracts backward; the
+        # integral runs from the range's start, x = 20, where M is posed.
+        m = const_model(q=1.0)
+        coeffs = to_riccati(m)
+        root = constant_drift_root(m)
+        rsol = riccati_numeric(coeffs, root.eta + 0.2, (20.0, 0.0))
+        assert rsol.x_start == 20.0
+        assert_allclose(rsol.eta(0.0), root.eta, rtol=1e-8)
+        xs = np.linspace(0.0, 20.0, 11)
+        psi_cf, m_cf = constant_drift_solution(m, xs)
+        rsol = riccati_numeric(coeffs, root.eta, (20.0, 0.0))
+        psi, mm = reconstruct_solution(rsol, 2.0, xs, m0=m_cf[-1])
+        assert_allclose(mm, m_cf, rtol=1e-8)
+        assert_allclose(psi, psi_cf, rtol=1e-8)
 
     def test_relaxing_drift_matches_closed_form_eta(self):
         coeffs = to_riccati(fig1_model())
